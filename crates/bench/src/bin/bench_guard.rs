@@ -5,7 +5,7 @@
 //! bench_guard [BENCH_sched.json] [floor] [BENCH_epr.json] [BENCH_serve.json] [BENCH_scale.json]
 //! ```
 //!
-//! Six checks:
+//! Seven checks:
 //!
 //! 1. **Scheduler speedup floor** (`BENCH_sched.json`): the
 //!    event-driven braid engine's geomean speedup over the naive
@@ -45,6 +45,14 @@
 //!    <= 1.0 — the calendar queue is never allowed to be slower than
 //!    the `BinaryHeap` twin exactly where it exists to win. Skipped
 //!    with a note when the file is absent.
+//! 7. **Warm estimate stage** (`BENCH_sched.json`): the
+//!    `pass_secs_warm` section, a second toolflow sweep in the same
+//!    process, must have every stage present and non-negative, and its
+//!    `estimate` stage must cost at most a tenth of the cold one — the
+//!    per-benchmark profile calibration is memoized, so a warm run that
+//!    re-simulates it is a regression. The measured gap is over 1000x,
+//!    so the factor cannot flake. Skipped with a note only when the
+//!    file has no `pass_secs` section either.
 //!
 //! CI runs this right after `perf_report`, `serve_throughput`, and
 //! `scale_report` regenerate the files.
@@ -94,27 +102,65 @@ const PIPELINE_STAGES: [&str; 7] = [
     "estimate",
 ];
 
-/// Checks the `pass_secs` section of a scheduler report: every pipeline
-/// stage must be present with a non-negative wall clock. Returns
-/// `Ok(None)` when the file has no `pass_secs` section (reports from
-/// before the pass pipeline).
-fn check_pass_secs(json: &str) -> Result<Option<usize>, String> {
-    let Some(section) = json.find("\"pass_secs\"").map(|i| &json[i..]) else {
+/// The per-stage wall clocks of the pass-breakdown section `key`, in
+/// [`PIPELINE_STAGES`] order, each checked present and non-negative.
+/// Returns `Ok(None)` when the report has no such section.
+fn stage_secs(json: &str, key: &str) -> Result<Option<Vec<f64>>, String> {
+    let Some(section) = json.find(&format!("\"{key}\"")).map(|i| &json[i..]) else {
         return Ok(None);
     };
     // Confine the scan to the section itself so a same-named field
     // later in the document can never stand in for a missing stage.
     let end = section.find('}').unwrap_or(section.len());
     let section = &section[..end];
+    let mut secs = Vec::with_capacity(PIPELINE_STAGES.len());
     for stage in PIPELINE_STAGES {
-        let Some(secs) = parse_field(section, stage) else {
-            return Err(format!("pass_secs is missing stage `{stage}`"));
+        let Some(s) = parse_field(section, stage) else {
+            return Err(format!("{key} is missing stage `{stage}`"));
         };
-        if secs < 0.0 {
-            return Err(format!("stage `{stage}` has negative wall clock {secs}"));
+        if s < 0.0 {
+            return Err(format!("{key} stage `{stage}` has negative wall clock {s}"));
         }
+        secs.push(s);
     }
-    Ok(Some(PIPELINE_STAGES.len()))
+    Ok(Some(secs))
+}
+
+/// Checks the `pass_secs` section of a scheduler report: every pipeline
+/// stage must be present with a non-negative wall clock. Returns
+/// `Ok(None)` when the file has no `pass_secs` section (reports from
+/// before the pass pipeline).
+fn check_pass_secs(json: &str) -> Result<Option<usize>, String> {
+    Ok(stage_secs(json, "pass_secs")?.map(|s| s.len()))
+}
+
+/// How many times cheaper the warm `estimate` stage must be than the
+/// cold one.
+const WARM_ESTIMATE_FACTOR: f64 = 10.0;
+
+/// Checks the warm `pass_secs_warm` section against the cold
+/// `pass_secs` one: every stage present and non-negative, and warm
+/// `estimate` <= cold `estimate` / [`WARM_ESTIMATE_FACTOR`]. Returns the
+/// (cold, warm) `estimate` seconds, or `Ok(None)` when the report has
+/// neither section (reports from before the pass pipeline).
+fn check_warm_estimate(json: &str) -> Result<Option<(f64, f64)>, String> {
+    // `estimate` is the pipeline's last stage.
+    let slot = PIPELINE_STAGES.len() - 1;
+    let sections = (
+        stage_secs(json, "pass_secs")?,
+        stage_secs(json, "pass_secs_warm")?,
+    );
+    let (cold, warm) = match sections {
+        (None, None) => return Ok(None),
+        (Some(cold), Some(warm)) => (cold[slot], warm[slot]),
+        _ => return Err("needs both the pass_secs and pass_secs_warm sections".into()),
+    };
+    if warm > cold / WARM_ESTIMATE_FACTOR {
+        return Err(format!(
+            "warm estimate {warm:.6}s is more than 1/{WARM_ESTIMATE_FACTOR} of cold {cold:.6}s"
+        ));
+    }
+    Ok(Some((cold, warm)))
 }
 
 /// Checks the placement section of an EPR report: every optimized
@@ -337,6 +383,24 @@ fn main() -> ExitCode {
         }
     }
 
+    match check_warm_estimate(&text) {
+        Ok(Some((cold, warm))) => {
+            println!(
+                "bench_guard: ok — warm estimate stage {:.3}ms <= cold {:.3}ms / \
+                 {WARM_ESTIMATE_FACTOR}",
+                warm * 1e3,
+                cold * 1e3
+            );
+        }
+        Ok(None) => {
+            println!("bench_guard: note — {path} has no pass breakdown, skipping warm estimate");
+        }
+        Err(e) => {
+            eprintln!("bench_guard: FAIL — warm estimate stage in {path}: {e}");
+            return ExitCode::FAILURE;
+        }
+    }
+
     match std::fs::read_to_string(&epr_path) {
         Ok(epr_text) => {
             match check_placement(&epr_text) {
@@ -402,8 +466,8 @@ fn main() -> ExitCode {
 #[cfg(test)]
 mod tests {
     use super::{
-        check_degradation, check_pass_secs, check_placement, check_scale, check_serve, parse_field,
-        parse_fields, PIPELINE_STAGES,
+        check_degradation, check_pass_secs, check_placement, check_scale, check_serve,
+        check_warm_estimate, parse_field, parse_fields, PIPELINE_STAGES,
     };
 
     #[test]
@@ -483,6 +547,73 @@ mod tests {
         // must not satisfy the presence check.
         let json = "{\"pass_secs\": {\"normalize-ir\": 0.001}, \"code-distance\": 0.002}";
         assert!(check_pass_secs(json).unwrap_err().contains("missing"));
+    }
+
+    /// A report with a cold and a warm pass breakdown whose `estimate`
+    /// stages take `cold` and `warm` seconds.
+    fn warm_json(cold: f64, warm: f64) -> String {
+        let section = |key: &str, estimate: f64| {
+            let body: Vec<String> = PIPELINE_STAGES
+                .iter()
+                .map(|&s| {
+                    format!(
+                        "\"{s}\": {:.6}",
+                        if s == "estimate" { estimate } else { 0.001 }
+                    )
+                })
+                .collect();
+            format!("\"{key}\": {{{}}}", body.join(", "))
+        };
+        let (cold, warm) = (section("pass_secs", cold), section("pass_secs_warm", warm));
+        format!("{{{cold}, {warm}, \"certify_secs\": 0.3}}")
+    }
+
+    #[test]
+    fn warm_estimate_check_accepts_a_memoized_estimate() {
+        assert_eq!(
+            check_warm_estimate(&warm_json(0.27, 0.0001)),
+            Ok(Some((0.27, 0.0001)))
+        );
+        // Exactly a tenth of the cold stage is still within the factor.
+        assert_eq!(
+            check_warm_estimate(&warm_json(1.0, 0.1)),
+            Ok(Some((1.0, 0.1)))
+        );
+        assert!(check_pass_secs(&warm_json(0.27, 0.0001)).is_ok());
+    }
+
+    #[test]
+    fn warm_estimate_check_rejects_a_recalibrating_warm_run() {
+        let err = check_warm_estimate(&warm_json(0.27, 0.05)).unwrap_err();
+        assert!(err.contains("warm estimate"), "{err}");
+    }
+
+    #[test]
+    fn warm_estimate_check_needs_both_sections() {
+        let stages: Vec<(&str, f64)> = PIPELINE_STAGES.iter().map(|&s| (s, 0.001)).collect();
+        let cold_only = pass_secs_json(&stages);
+        assert!(check_warm_estimate(&cold_only)
+            .unwrap_err()
+            .contains("both"));
+        // The warm section never stands in for the cold one.
+        let warm_only = warm_json(0.27, 0.0001).replace("\"pass_secs\"", "\"cold\"");
+        assert_eq!(check_pass_secs(&warm_only), Ok(None));
+        assert!(check_warm_estimate(&warm_only)
+            .unwrap_err()
+            .contains("both"));
+        assert_eq!(check_warm_estimate("{\"geomean_speedup\": 8.0}"), Ok(None));
+    }
+
+    #[test]
+    fn warm_estimate_check_rejects_a_missing_warm_stage() {
+        let json = warm_json(0.27, 0.0001);
+        let (cold, warm) = json.split_at(json.find("\"pass_secs_warm\"").unwrap_or(0));
+        let json = format!("{cold}{}", warm.replacen("\"layout\"", "\"gone\"", 1));
+        let err = check_warm_estimate(&json).unwrap_err();
+        assert!(
+            err.contains("pass_secs_warm is missing stage `layout`"),
+            "{err}"
+        );
     }
 
     fn placement_json(rows: &[(u64, u64, u64, u64)]) -> String {

@@ -154,6 +154,7 @@ pub enum ScheduleError {
     /// Fabrication defects cut the mesh so the circuit cannot be
     /// scheduled: a braid endpoint sits on a dead tile, a required
     /// qubit pair has no defect-free route, or every factory site died.
+    /// Also carries a defect map sized for a different mesh.
     Unroutable(CommError),
 }
 
@@ -277,12 +278,13 @@ pub fn schedule(
 /// As [`schedule`], plus [`ScheduleError::Unroutable`] when the defects
 /// cut the mesh: a circuit qubit's tile is dead, a two-qubit pair has
 /// no defect-free route, a T-gate target is unreachable from every live
-/// factory, or all factory sites died.
+/// factory, or all factory sites died; and, wrapping
+/// [`CommError::DefectMapMismatch`], when a non-empty map's dimensions
+/// differ from [`braid_mesh_dims`].
 ///
 /// # Panics
 ///
-/// Panics if `dag` was not built from `circuit` or the map's dimensions
-/// differ from [`braid_mesh_dims`].
+/// Panics if `dag` was not built from `circuit`.
 pub fn schedule_on_defects(
     circuit: &Circuit,
     dag: &DependencyDag,
@@ -654,10 +656,13 @@ fn schedule_with_sink_on<S: TraceSink>(
     let mut factory_reach: Vec<Vec<bool>> = Vec::new();
     if let Some(map) = defects {
         let (dw, dh) = (map.topology().width(), map.topology().height());
-        assert!(
-            dw == mesh_w && dh == mesh_h,
-            "defect map is {dw}x{dh} but the braid mesh is {mesh_w}x{mesh_h}"
-        );
+        if (dw, dh) != (mesh_w, mesh_h) {
+            return Err(CommError::DefectMapMismatch {
+                map: (dw, dh),
+                expected: (mesh_w, mesh_h),
+            }
+            .into());
+        }
         for q in 0..circuit.num_qubits() {
             let a = anchors[q as usize];
             if map.node_dead(a) {
@@ -1315,6 +1320,24 @@ mod tests {
             other => panic!("expected Unroutable, got {other:?}"),
         }
         assert!(err.to_string().contains("no defect-free route"), "{err}");
+    }
+
+    #[test]
+    fn wrong_size_defect_map_is_an_error_not_a_panic() {
+        let c = single_cnot();
+        let dag = DependencyDag::from_circuit(&c);
+        let config = BraidConfig::default();
+        let layout = layout_for(&c, config.policy);
+        let (mw, mh) = braid_mesh_dims(&layout, &c);
+        let map = DefectMap::from_text(&format!("dims {} {mh}\nnode 0 0\n", mw + 2)).unwrap();
+        let expected = CommError::DefectMapMismatch {
+            map: (mw + 2, mh),
+            expected: (mw, mh),
+        };
+        let err = schedule_on_defects(&c, &dag, &layout, &config, &map).unwrap_err();
+        assert_eq!(err, ScheduleError::Unroutable(expected));
+        let traced = schedule_traced_on_defects(&c, &dag, &layout, &config, &map).unwrap_err();
+        assert_eq!(traced, ScheduleError::Unroutable(expected));
     }
 
     #[test]

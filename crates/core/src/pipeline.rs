@@ -88,11 +88,12 @@ impl<'a> ArtifactContext<'a> {
     /// A context for a standalone circuit with no benchmark identity —
     /// QASM input to the `scq` CLI, for example.
     ///
-    /// Only the `estimate` pass reads the benchmark (it calibrates the
-    /// scale-free [`AppProfile`] from it), so this constructor is meant
-    /// for runners that stop before it, like
-    /// [`PipelineRunner::analysis`]; a full standard run would
-    /// attribute the circuit to the default GSE profile.
+    /// Only the `estimate` pass reads the benchmark: it looks up the
+    /// scale-free [`AppProfile`] for it, calibrated on first use and
+    /// memoized per process. So this constructor is meant for runners
+    /// that stop before it, like [`PipelineRunner::analysis`]; a full
+    /// standard run would attribute the circuit to the default GSE
+    /// profile.
     pub fn for_circuit(circuit: &'a Circuit, config: ToolflowConfig) -> Self {
         Self::new(Benchmark::Gse, circuit, config)
     }

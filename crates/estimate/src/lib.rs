@@ -12,6 +12,10 @@
 //! application's analytic scaling law to the paper's 10^24-operation
 //! design points.
 //!
+//! A profile is a pure function of its benchmark, so
+//! [`AppProfile::calibrate`] memoizes it per process: the first call for
+//! a benchmark pays for the simulations, later calls return a clone.
+//!
 //! # Examples
 //!
 //! ```
