@@ -332,35 +332,6 @@ fn bench_fabric_throughput(c: &mut Criterion) {
     }
 }
 
-/// CommBackend dynamic dispatch vs calling the engines directly: the
-/// trait unification must cost nothing measurable against a real
-/// scheduling run.
-fn bench_backend_dispatch(c: &mut Criterion) {
-    use scq_core::{CommBackend, TeleportBackend};
-    use scq_teleport::{schedule_planar, PlanarConfig};
-    let circuit = ising(&IsingParams {
-        spins: 32,
-        trotter_steps: 2,
-        ..Default::default()
-    });
-    let dag = DependencyDag::from_circuit(&circuit);
-    let config = PlanarConfig {
-        code_distance: 3,
-        ..Default::default()
-    };
-    c.bench_function("backend/teleport-direct", |b| {
-        b.iter(|| schedule_planar(std::hint::black_box(&circuit), &dag, &config))
-    });
-    let backend: Box<dyn CommBackend> = Box::new(TeleportBackend::new(config));
-    c.bench_function("backend/teleport-dyn-dispatch", |b| {
-        b.iter(|| {
-            backend
-                .schedule(std::hint::black_box(&circuit), &dag)
-                .unwrap()
-        })
-    });
-}
-
 /// Work-stealing deque dispatch vs the retained atomic-cursor baseline,
 /// on a deliberately skewed batch (one monster item seeded at the front
 /// of worker 0's chunk, hundreds of trivial items behind it) and on a
@@ -406,7 +377,6 @@ criterion_group!(
     bench_event_queue,
     bench_epr_pipeline,
     bench_fabric_throughput,
-    bench_backend_dispatch,
     bench_dispatch
 );
 criterion_main!(benches);

@@ -19,13 +19,13 @@
 //!
 //! Two engines produce provably identical schedules:
 //!
-//! * **The event-driven fast path** ([`schedule`], [`schedule_traced`],
-//!   [`schedule_with_sink`]) — incremental ready/leg2-ready sets
-//!   maintained on state transitions (no per-cycle O(n) rescan),
-//!   event-driven time advance that jumps idle stretches straight to the
-//!   next release via `Mesh::tick_n`, allocation-free fused route+claim
-//!   walks with pooled route buffers, and tracing that is generic over a
-//!   [`TraceSink`] so untraced runs pay no event or clone cost.
+//! * **The event-driven fast path** ([`schedule`], [`schedule_traced`])
+//!   — incremental ready/leg2-ready sets maintained on state
+//!   transitions (no per-cycle O(n) rescan), event-driven time advance
+//!   that jumps idle stretches straight to the next release via
+//!   `Mesh::tick_n`, allocation-free fused route+claim walks with pooled
+//!   route buffers, and tracing that is generic over a [`TraceSink`] so
+//!   untraced runs pay no event or clone cost.
 //! * **The naive-stepping reference** ([`schedule_reference`],
 //!   [`schedule_traced_reference`]) — the original one-cycle-at-a-time,
 //!   full-rescan engine, retained as the differential oracle.
@@ -68,7 +68,7 @@ pub use policy::Policy;
 pub use reference::{schedule_reference, schedule_traced_reference};
 pub use scheduler::{
     braid_mesh_dims, factory_sites, op_latency_cycles, schedule, schedule_circuit,
-    schedule_on_defects, schedule_traced, schedule_traced_on_defects, schedule_with_sink,
-    BraidConfig, BraidSchedule, ScheduleError, TGateModel,
+    schedule_on_defects, schedule_traced, schedule_traced_on_defects, BraidConfig, BraidSchedule,
+    ScheduleError, TGateModel,
 };
 pub use trace::{BraidEvent, BraidTrace, EventCollector, NoTrace, TraceConflict, TraceSink};

@@ -260,7 +260,7 @@ pub fn schedule(
     config: &BraidConfig,
 ) -> Result<BraidSchedule, ScheduleError> {
     let mut sink = NoTrace;
-    schedule_with_sink(circuit, dag, layout, config, &mut sink)
+    schedule_with_sink_on(circuit, dag, layout, config, None, &mut sink)
 }
 
 /// Like [`schedule`], but on a defect-laden mesh: braids route around
@@ -343,7 +343,7 @@ pub fn schedule_traced(
     config: &BraidConfig,
 ) -> Result<(BraidSchedule, BraidTrace), ScheduleError> {
     let mut sink = EventCollector::default();
-    let stats = schedule_with_sink(circuit, dag, layout, config, &mut sink)?;
+    let stats = schedule_with_sink_on(circuit, dag, layout, config, None, &mut sink)?;
     let (mesh_width, mesh_height) = trace_mesh_dims(layout, circuit.is_empty());
     let trace = BraidTrace {
         mesh_width,
@@ -543,7 +543,8 @@ impl Engine {
     }
 }
 
-/// The event-driven scheduling engine, generic over the [`TraceSink`].
+/// The event-driven scheduling engine behind every public entry point,
+/// generic over the [`TraceSink`].
 ///
 /// Three mechanisms make this the fast path while preserving
 /// bit-identical schedules versus [`crate::schedule_reference`]:
@@ -578,26 +579,17 @@ impl Engine {
 ///    issuing op always is. Pruned attempts keep the exact bookkeeping
 ///    of a walked failure — no walk, same schedule.
 ///
+/// The engine runs optionally on a defect-laden mesh. An empty (or
+/// absent) map takes the exact code path of the defect-free engine,
+/// preserving bit-identical schedules.
+///
 /// # Errors
 ///
-/// As [`schedule`].
+/// As [`schedule_on_defects`].
 ///
 /// # Panics
 ///
 /// Panics if `dag` was not built from `circuit`.
-pub fn schedule_with_sink<S: TraceSink>(
-    circuit: &Circuit,
-    dag: &DependencyDag,
-    layout: &Layout,
-    config: &BraidConfig,
-    sink: &mut S,
-) -> Result<BraidSchedule, ScheduleError> {
-    schedule_with_sink_on(circuit, dag, layout, config, None, sink)
-}
-
-/// The engine behind every public entry point, optionally on a
-/// defect-laden mesh. An empty (or absent) map takes the exact code
-/// path of the defect-free engine, preserving bit-identical schedules.
 #[allow(clippy::too_many_lines)]
 fn schedule_with_sink_on<S: TraceSink>(
     circuit: &Circuit,

@@ -22,13 +22,9 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-mod backend;
 mod cachekey;
 pub mod pipeline;
 
-pub use backend::{
-    default_backends, BraidBackend, CommBackend, CommDetail, CommReport, TeleportBackend,
-};
 pub use cachekey::{CacheKeyed, KeyHasher};
 pub use pipeline::{ArtifactContext, ArtifactHash, PipelineRunner, PipelineTrace, ToolflowPass};
 
@@ -36,13 +32,13 @@ use std::error::Error;
 use std::fmt;
 
 use scq_apps::Benchmark;
-use scq_braid::{BraidConfig, BraidSchedule, Policy, ScheduleError};
-use scq_estimate::{estimate_both, AppProfile, EstimateConfig, ResourceEstimate};
-use scq_ir::{analysis::CircuitStats, Circuit, DependencyDag, InteractionGraph};
-use scq_layout::{place, Layout};
+use scq_braid::{BraidSchedule, Policy, ScheduleError};
+use scq_estimate::{AppProfile, EstimateConfig, ResourceEstimate};
+use scq_ir::{analysis::CircuitStats, Circuit};
+use scq_layout::Layout;
 use scq_mesh::CommError;
 use scq_surface::{CodeDistanceModel, Encoding, Technology, ThresholdExceeded};
-use scq_teleport::{PlanarConfig, PlanarSchedule};
+use scq_teleport::PlanarSchedule;
 
 /// Configuration of one end-to-end toolflow run.
 #[derive(Clone, Copy, Debug, PartialEq)]
@@ -162,10 +158,6 @@ pub enum ToolflowError {
     /// Communication is structurally impossible on the (defective)
     /// fabric: no defect-free route, or nothing left to place on.
     Comm(CommError),
-    /// An interleaved `scq-verify` invariant check found an
-    /// error-severity violation between pipeline stages (only raised
-    /// when [`PipelineRunner::with_invariant_checks`] is enabled).
-    Invariant(String),
 }
 
 impl fmt::Display for ToolflowError {
@@ -174,7 +166,6 @@ impl fmt::Display for ToolflowError {
             ToolflowError::Threshold(e) => write!(f, "{e}"),
             ToolflowError::Braid(e) => write!(f, "{e}"),
             ToolflowError::Comm(e) => write!(f, "{e}"),
-            ToolflowError::Invariant(msg) => write!(f, "pipeline invariant check failed: {msg}"),
         }
     }
 }
@@ -185,7 +176,6 @@ impl Error for ToolflowError {
             ToolflowError::Threshold(e) => Some(e),
             ToolflowError::Braid(e) => Some(e),
             ToolflowError::Comm(e) => Some(e),
-            ToolflowError::Invariant(_) => None,
         }
     }
 }
@@ -214,7 +204,8 @@ impl From<CommError> for ToolflowError {
 /// it at the logical level, pick the code distance from the computation
 /// size and technology, place qubits, schedule braids on the tiled
 /// double-defect machine, schedule SIMD + EPR pipelining on the planar
-/// machine, and compare space-time estimates.
+/// machine, and compare space-time estimates. Each stage is one pass of
+/// [`PipelineRunner::standard`].
 ///
 /// # Errors
 ///
@@ -226,19 +217,11 @@ pub fn run_toolflow(
     benchmark: Benchmark,
     config: &ToolflowConfig,
 ) -> Result<ToolflowReport, ToolflowError> {
-    let circuit = match config.scale {
-        Some(s) => benchmark.scaled_circuit(s),
-        None => benchmark.small_circuit(),
-    };
-    run_toolflow_on(benchmark, &circuit, config)
+    run_toolflow_timed(benchmark, config).map(|(report, _)| report)
 }
 
 /// Like [`run_toolflow`] but on a caller-provided circuit (any program
 /// expressed in the `scq-ir` ISA, not just the bundled benchmarks).
-///
-/// Since the pass-pipeline refactor this is a thin wrapper over
-/// [`PipelineRunner::standard`]; [`run_toolflow_legacy_on`] retains the
-/// pre-pipeline call chain as the differential oracle.
 ///
 /// # Errors
 ///
@@ -271,94 +254,6 @@ pub fn run_toolflow_timed(
     let mut cx = ArtifactContext::new(benchmark, &circuit, *config);
     let trace = PipelineRunner::standard().run(&mut cx)?;
     Ok((cx.into_report(), trace))
-}
-
-/// The pre-pipeline `run_toolflow`, retained for one PR as the
-/// differential oracle certifying that the pass pipeline is a pure
-/// re-plumbing: the differential suite asserts byte-identical reports
-/// from both paths across the full (app × policy × backend) grid.
-///
-/// # Errors
-///
-/// As [`run_toolflow`].
-pub fn run_toolflow_legacy(
-    benchmark: Benchmark,
-    config: &ToolflowConfig,
-) -> Result<ToolflowReport, ToolflowError> {
-    let circuit = match config.scale {
-        Some(s) => benchmark.scaled_circuit(s),
-        None => benchmark.small_circuit(),
-    };
-    run_toolflow_legacy_on(benchmark, &circuit, config)
-}
-
-/// The pre-pipeline `run_toolflow_on` (see [`run_toolflow_legacy`]).
-///
-/// # Errors
-///
-/// As [`run_toolflow`].
-pub fn run_toolflow_legacy_on(
-    benchmark: Benchmark,
-    circuit: &Circuit,
-    config: &ToolflowConfig,
-) -> Result<ToolflowReport, ToolflowError> {
-    // Frontend: logical analysis.
-    let dag = DependencyDag::from_circuit(circuit);
-    let stats = scq_ir::analysis::analyze_with_dag(circuit, &dag);
-
-    // Code distance from computation size and technology (or pinned).
-    let code_distance = match config.code_distance {
-        Some(d) => d,
-        None => config.distance_model.required_distance_for_ops(
-            config.technology.p_physical,
-            stats.total_ops.max(1) as f64,
-        )?,
-    };
-
-    // Mapping-level optimization; the layout feeds the braid backend
-    // and stays on the report for inspection.
-    let graph = InteractionGraph::from_circuit(circuit);
-    let layout = place(&graph, config.policy.layout_strategy(), None);
-
-    // Network-level: both encodings behind the unified CommBackend
-    // interface, on the shared mesh substrate.
-    let braid = BraidBackend::new(BraidConfig {
-        policy: config.policy,
-        code_distance,
-        ..Default::default()
-    })
-    .schedule_on_layout(circuit, &dag, &layout)?
-    .detail
-    .into_braid()
-    .expect("braid backend reports braid detail");
-    let planar = TeleportBackend::new(PlanarConfig {
-        code_distance,
-        ..Default::default()
-    })
-    .schedule(circuit, &dag)?
-    .detail
-    .into_teleport()
-    .expect("teleport backend reports teleport detail");
-
-    // Design-space verdict at this instance's computation size.
-    let profile = AppProfile::calibrate(benchmark);
-    let est_config = EstimateConfig {
-        technology: config.technology,
-        distance_model: config.distance_model,
-        ..config.estimate
-    };
-    let estimates = estimate_both(&profile, stats.total_ops.max(1) as f64, &est_config)?;
-
-    Ok(ToolflowReport {
-        benchmark,
-        stats,
-        code_distance,
-        layout,
-        braid,
-        planar,
-        profile,
-        estimates,
-    })
 }
 
 #[cfg(test)]
@@ -423,6 +318,21 @@ mod tests {
         assert!(matches!(lifted, ToolflowError::Comm(_)));
         assert!(lifted.to_string().contains("no defect-free route"));
         assert!(lifted.source().is_some());
+        let unplaceable: ToolflowError = CommError::Unplaceable {
+            needed: 4,
+            available: 0,
+        }
+        .into();
+        assert!(matches!(unplaceable, ToolflowError::Comm(_)));
+
+        let e = ScheduleError::CycleLimitExceeded { limit: 1 };
+        let lifted: ToolflowError = e.clone().into();
+        assert_eq!(lifted, ToolflowError::Braid(e.clone()));
+        assert_eq!(lifted.to_string(), e.to_string());
+        let source = lifted
+            .source()
+            .and_then(|s| s.downcast_ref::<ScheduleError>());
+        assert_eq!(source, Some(&e));
     }
 
     #[test]

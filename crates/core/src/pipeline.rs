@@ -1,8 +1,8 @@
 //! The explicit pass pipeline behind the toolflow.
 //!
-//! Historically `run_toolflow` was a hard-wired call chain; this module
-//! restructures it into named, individually timeable passes over a
-//! shared [`ArtifactContext`] (modeled on `scq-verify`'s `PassRunner`):
+//! The toolflow is a sequence of named, individually timeable passes
+//! over a shared [`ArtifactContext`] (modeled on `scq-verify`'s
+//! `PassRunner`):
 //!
 //! ```text
 //! normalize-ir ──► code-distance ──► interaction-analysis ──► layout
@@ -21,19 +21,14 @@
 //! stable 64-bit content hash (via [`KeyHasher`]), so downstream layers
 //! — most importantly the `scq-serve` cache — can memoize individual
 //! artifacts (e.g. a placement) separately from whole schedules. The
-//! [`PipelineRunner`] times every pass and can interleave the
-//! independent `scq-verify` check passes between stages
-//! ([`PipelineRunner::with_invariant_checks`]).
+//! [`PipelineRunner`] times every pass.
 //!
-//! The backend schedulers themselves are reached through the
-//! [`braid_stage`]/[`planar_stage`] functions, which the
-//! [`crate::CommBackend`] implementations share — every scheduling
-//! path in the workspace funnels through the same stage layer.
-//!
-//! `run_toolflow` is a thin wrapper over
-//! `PipelineRunner::standard().run(..)`; the pre-pipeline call chain is
-//! retained for one PR as [`crate::run_toolflow_legacy`], the
-//! differential oracle proving this refactor is a pure re-plumbing.
+//! [`PipelineRunner::standard`] is the toolflow's only path into the
+//! engines: its schedule passes call `scq_braid::schedule` and
+//! `scq_teleport::schedule_planar` directly. [`PipelineRunner::analysis`]
+//! stops before them, for callers that drive the engines themselves.
+//! `run_toolflow` is a thin wrapper over `PipelineRunner::standard()`,
+//! and `crates/core/tests/golden_pipeline.rs` pins its reports.
 
 use std::time::Instant;
 
@@ -42,10 +37,8 @@ use scq_braid::{BraidConfig, BraidSchedule};
 use scq_estimate::{estimate_both, AppProfile, EstimateConfig, ResourceEstimate};
 use scq_ir::{analysis::CircuitStats, Circuit, DependencyDag, InteractionGraph};
 use scq_layout::{place, Layout};
-use scq_teleport::{
-    schedule_planar, schedule_planar_with, CongestionAwarePlacement, PlanarConfig, PlanarSchedule,
-};
-use scq_verify::{CheckContext, FabricView, Finding, PassRunner, PassTiming};
+use scq_teleport::{schedule_planar, PlanarConfig, PlanarSchedule};
+use scq_verify::PassTiming;
 
 use crate::cachekey::{CacheKeyed, KeyHasher};
 use crate::{ToolflowConfig, ToolflowError, ToolflowReport};
@@ -205,8 +198,8 @@ pub trait ToolflowPass {
     ///
     /// # Errors
     ///
-    /// Stage-specific [`ToolflowError`]s, identical to the ones the
-    /// legacy call chain surfaced at the same point.
+    /// Stage-specific [`ToolflowError`]s: the distance model's
+    /// threshold error, or the braid engine's scheduling error.
     fn run(&self, cx: &mut ArtifactContext<'_>) -> Result<(), ToolflowError>;
 }
 
@@ -318,7 +311,7 @@ impl ToolflowPass for BraidSchedulePass {
             code_distance: cx.code_distance.expect("code-distance runs first"),
             ..Default::default()
         };
-        let braid = braid_stage(cx.circuit, dag, layout, &config)?;
+        let braid = scq_braid::schedule(cx.circuit, dag, layout, &config)?;
         cx.record("braid-schedule", self.name(), braid_key(&braid));
         cx.braid = Some(braid);
         Ok(())
@@ -339,7 +332,7 @@ impl ToolflowPass for PlanarSchedulePass {
             code_distance: cx.code_distance.expect("code-distance runs first"),
             ..Default::default()
         };
-        let planar = planar_stage(cx.circuit, dag, &config, false);
+        let planar = schedule_planar(cx.circuit, dag, &config);
         cx.record("planar-schedule", self.name(), planar_key(&planar));
         cx.planar = Some(planar);
         Ok(())
@@ -380,22 +373,14 @@ pub struct PipelineTrace {
     /// Per-pass wall time, in execution order (shares `scq-verify`'s
     /// [`PassTiming`] shape).
     pub timings: Vec<PassTiming>,
-    /// Per-check-pass wall time, when invariant checks were enabled.
-    pub check_timings: Vec<PassTiming>,
-    /// Warning-severity findings from the interleaved invariant checks
-    /// (error findings abort the run instead).
-    pub check_findings: Vec<Finding>,
     /// Artifact provenance records, in deposit order.
     pub hashes: Vec<ArtifactHash>,
 }
 
 /// Runs a sequence of [`ToolflowPass`]es over one [`ArtifactContext`],
-/// timing each pass, recording artifact hashes, and (optionally)
-/// interleaving the independent `scq-verify` check passes between
-/// stages.
+/// timing each pass and recording artifact hashes.
 pub struct PipelineRunner {
     passes: Vec<Box<dyn ToolflowPass>>,
-    invariant_checks: bool,
 }
 
 impl Default for PipelineRunner {
@@ -405,8 +390,7 @@ impl Default for PipelineRunner {
 }
 
 impl PipelineRunner {
-    /// The standard toolflow pipeline, in dependency order — exactly
-    /// the stages the legacy `run_toolflow` chain hard-wired.
+    /// The standard toolflow pipeline, in dependency order.
     pub fn standard() -> Self {
         PipelineRunner {
             passes: vec![
@@ -418,7 +402,6 @@ impl PipelineRunner {
                 Box::new(PlanarSchedulePass),
                 Box::new(EstimatePass),
             ],
-            invariant_checks: false,
         }
     }
 
@@ -435,33 +418,14 @@ impl PipelineRunner {
                 Box::new(InteractionAnalysisPass),
                 Box::new(LayoutPass),
             ],
-            invariant_checks: false,
         }
-    }
-
-    /// Stable names of the registered passes, in execution order.
-    pub fn pass_names(&self) -> Vec<&'static str> {
-        self.passes.iter().map(|p| p.name()).collect()
-    }
-
-    /// Enables the interleaved `scq-verify` invariant checks: the IR
-    /// check passes run after `normalize-ir`, and again with the braid
-    /// fabric view after `layout`. Error-severity findings abort the
-    /// run with [`ToolflowError::Invariant`]; warnings are collected in
-    /// the trace.
-    pub fn with_invariant_checks(mut self) -> Self {
-        self.invariant_checks = true;
-        self
     }
 
     /// Runs every pass in order over `cx`, stopping at the first error.
     ///
     /// # Errors
     ///
-    /// Whatever the failing pass returns — the same [`ToolflowError`]
-    /// the legacy chain surfaced at the same stage — plus
-    /// [`ToolflowError::Invariant`] when enabled checks find an
-    /// error-severity violation.
+    /// Whatever the failing pass returns.
     pub fn run(&self, cx: &mut ArtifactContext<'_>) -> Result<PipelineTrace, ToolflowError> {
         let mut trace = PipelineTrace::default();
         for pass in &self.passes {
@@ -471,84 +435,9 @@ impl PipelineRunner {
                 pass: pass.name(),
                 duration: t0.elapsed(),
             });
-            if self.invariant_checks {
-                run_invariant_checks(pass.name(), cx, &mut trace)?;
-            }
         }
         trace.hashes = cx.hashes.clone();
         Ok(trace)
-    }
-}
-
-/// Interleaves the independent `scq-verify` check passes after the
-/// stages whose artifacts they can audit: pure IR checks once the DAG
-/// exists, and fabric admission once the layout exists.
-fn run_invariant_checks(
-    stage: &'static str,
-    cx: &ArtifactContext<'_>,
-    trace: &mut PipelineTrace,
-) -> Result<(), ToolflowError> {
-    let fabrics = match stage {
-        "normalize-ir" => Vec::new(),
-        "layout" => {
-            let layout = cx.layout.as_ref().expect("layout stage just ran");
-            vec![FabricView::braid(layout, cx.circuit, None, None)]
-        }
-        _ => return Ok(()),
-    };
-    let dag = cx.dag.as_ref().expect("normalize-ir runs first");
-    let check_cx = CheckContext {
-        circuit: cx.circuit,
-        dag,
-        fabrics,
-    };
-    let report = PassRunner::standard().run(&check_cx);
-    trace.check_timings.extend(report.timings.iter().copied());
-    if !report.is_clean() {
-        let first = report
-            .findings
-            .iter()
-            .find(|f| f.severity == scq_verify::Severity::Error)
-            .expect("is_clean was false");
-        return Err(ToolflowError::Invariant(format!(
-            "{} error finding(s) after pass `{stage}`; first: {}",
-            report.error_count(),
-            first.message
-        )));
-    }
-    trace.check_findings.extend(report.findings);
-    Ok(())
-}
-
-/// The braid scheduling stage. [`crate::BraidBackend`] and the
-/// [`BraidSchedulePass`] both funnel through here, so there is exactly
-/// one call path into the braid engine.
-///
-/// # Errors
-///
-/// [`ToolflowError::Braid`] when the engine exceeds its cycle budget.
-pub fn braid_stage(
-    circuit: &Circuit,
-    dag: &DependencyDag,
-    layout: &Layout,
-    config: &BraidConfig,
-) -> Result<BraidSchedule, ToolflowError> {
-    Ok(scq_braid::schedule(circuit, dag, layout, config)?)
-}
-
-/// The planar scheduling stage. [`crate::TeleportBackend`] and the
-/// [`PlanarSchedulePass`] both funnel through here; `optimized` selects
-/// the congestion-aware profile-then-place floorplan over the baseline.
-pub fn planar_stage(
-    circuit: &Circuit,
-    dag: &DependencyDag,
-    config: &PlanarConfig,
-    optimized: bool,
-) -> PlanarSchedule {
-    if optimized {
-        schedule_planar_with(circuit, dag, config, &CongestionAwarePlacement::default())
-    } else {
-        schedule_planar(circuit, dag, config)
     }
 }
 
@@ -668,22 +557,6 @@ mod tests {
         assert_eq!(layout_hash(Policy::P3), layout_hash(Policy::P6));
         // P0 uses the linear strategy: different placement artifact.
         assert_ne!(layout_hash(Policy::P0), layout_hash(Policy::P6));
-    }
-
-    #[test]
-    fn invariant_checks_pass_on_a_clean_run() {
-        let c = small();
-        let mut cx = ArtifactContext::new(Benchmark::Gse, &c, ToolflowConfig::default());
-        let trace = PipelineRunner::standard()
-            .with_invariant_checks()
-            .run(&mut cx)
-            .unwrap();
-        // The scq-verify passes ran after normalize-ir and layout.
-        assert!(trace.check_timings.len() >= 8);
-        assert!(trace
-            .check_findings
-            .iter()
-            .all(|f| f.severity != scq_verify::Severity::Error));
     }
 
     #[test]

@@ -439,31 +439,6 @@ fn run_epr_phases_inner<Q: EventQueue<MsgId>>(
     (result, transcript)
 }
 
-/// Sweeps lookahead windows on the fabric, returning `(window, result)`
-/// pairs — the route-aware counterpart of
-/// [`window_sweep`](crate::window_sweep).
-pub fn window_sweep_fabric(
-    requests: &[EprRequest],
-    windows: &[usize],
-    config: &FabricEprConfig,
-    topology: Topology,
-) -> Vec<(usize, FabricEprResult)> {
-    windows
-        .iter()
-        .map(|&w| {
-            (
-                w,
-                simulate_epr_on_fabric(
-                    requests,
-                    DistributionPolicy::JustInTime { window: w },
-                    config,
-                    topology,
-                ),
-            )
-        })
-        .collect()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -563,22 +538,6 @@ mod tests {
         );
         assert_eq!(r.total_route_hops, 0);
         assert_eq!(r.pipeline.total_stall_cycles, 0);
-    }
-
-    #[test]
-    fn window_sweep_fabric_is_monotone_in_peak() {
-        let topo = Topology::new(12, 6);
-        let trace: Vec<(u64, u32)> = (0..80).map(|i| (20 + i, 4)).collect();
-        let requests = row_requests(&trace, topo);
-        let sweep = window_sweep_fabric(
-            &requests,
-            &[1, 4, 16, 64],
-            &FabricEprConfig::default(),
-            topo,
-        );
-        for w in sweep.windows(2) {
-            assert!(w[0].1.pipeline.peak_live_eprs <= w[1].1.pipeline.peak_live_eprs);
-        }
     }
 
     #[test]

@@ -57,8 +57,7 @@ mod simd;
 pub use fabric_pipeline::{
     simulate_epr_on_fabric, simulate_epr_on_fabric_traced,
     simulate_epr_on_fabric_traced_with_defects, simulate_epr_on_fabric_with_defects,
-    simulate_epr_on_heap_fabric, window_sweep_fabric, EprRequest, EprTranscript, FabricEprConfig,
-    FabricEprResult,
+    simulate_epr_on_heap_fabric, EprRequest, EprTranscript, FabricEprConfig, FabricEprResult,
 };
 pub use pipeline::{
     simulate_epr_distribution, window_sweep, DistributionPolicy, EprConfig, EprDemand,

@@ -57,10 +57,7 @@ pub use scq_verify as verify;
 pub mod prelude {
     pub use scq_apps::Benchmark;
     pub use scq_braid::{schedule_circuit, BraidConfig, BraidSchedule, Policy};
-    pub use scq_core::{
-        run_toolflow, run_toolflow_on, BraidBackend, CommBackend, CommReport, TeleportBackend,
-        ToolflowConfig, ToolflowReport,
-    };
+    pub use scq_core::{run_toolflow, run_toolflow_on, ToolflowConfig, ToolflowReport};
     pub use scq_estimate::{estimate, estimate_both, AppProfile, EstimateConfig};
     pub use scq_explore::{crossover_size, favorability_boundary, log_spaced, ratio_sweep};
     pub use scq_ir::{analysis, Circuit, DependencyDag, Gate, InteractionGraph, Qubit};
