@@ -5,7 +5,7 @@
 //! bench_guard [BENCH_sched.json] [floor] [BENCH_epr.json] [BENCH_serve.json] [BENCH_scale.json]
 //! ```
 //!
-//! Seven checks:
+//! Eight checks:
 //!
 //! 1. **Scheduler speedup floor** (`BENCH_sched.json`): the
 //!    event-driven braid engine's geomean speedup over the naive
@@ -53,6 +53,13 @@
 //!    re-simulates it is a regression. The measured gap is over 1000x,
 //!    so the factor cannot flake. Skipped with a note only when the
 //!    file has no `pass_secs` section either.
+//! 8. **Adaptive-route kernel** (`BENCH_sched.json`): the
+//!    `adaptive_route` section races the braid engine's adaptive BFS
+//!    kernel against the textbook oracle in the same process on the
+//!    same searches (routes asserted identical). The searches must mix
+//!    successes and failures, and the kernel must be at least
+//!    [`ROUTE_SPEEDUP_FLOOR`] times faster than the oracle; machine
+//!    drift cancels in the ratio. A missing section fails.
 //!
 //! CI runs this right after `perf_report`, `serve_throughput`, and
 //! `scale_report` regenerate the files.
@@ -161,6 +168,39 @@ fn check_warm_estimate(json: &str) -> Result<Option<(f64, f64)>, String> {
         ));
     }
     Ok(Some((cold, warm)))
+}
+
+/// How many times faster than the textbook oracle the adaptive-route
+/// kernel must run.
+const ROUTE_SPEEDUP_FLOOR: f64 = 1.5;
+
+/// Checks the `adaptive_route` section of a scheduler report: it must
+/// be present, its searches must include both found and refused
+/// routes, and the kernel's speedup over the oracle must be at least
+/// [`ROUTE_SPEEDUP_FLOOR`]. Returns `(searches, found, speedup)`.
+fn check_adaptive_route(json: &str) -> Result<(f64, f64, f64), String> {
+    let Some(section) = json.find("\"adaptive_route\"").map(|i| &json[i..]) else {
+        return Err("no adaptive_route section".into());
+    };
+    // Confine the scan to the section: the grid points carry their own
+    // `speedup` fields.
+    let section = &section[..section.find('}').unwrap_or(section.len())];
+    let field = |key: &str| {
+        parse_field(section, key).ok_or_else(|| format!("adaptive_route is missing `{key}`"))
+    };
+    let (searches, found, speedup) = (field("searches")?, field("found")?, field("speedup")?);
+    if !(found > 0.0 && found < searches) {
+        return Err(format!(
+            "{found} of {searches} searches found a route; the race needs both outcomes"
+        ));
+    }
+    if speedup < ROUTE_SPEEDUP_FLOOR {
+        return Err(format!(
+            "kernel speedup {speedup:.2}x over the textbook oracle is below the floor \
+             {ROUTE_SPEEDUP_FLOOR:.1}x"
+        ));
+    }
+    Ok((searches, found, speedup))
 }
 
 /// Checks the placement section of an EPR report: every optimized
@@ -401,6 +441,19 @@ fn main() -> ExitCode {
         }
     }
 
+    match check_adaptive_route(&text) {
+        Ok((searches, found, speedup)) => {
+            println!(
+                "bench_guard: ok — adaptive-route kernel {speedup:.2}x the textbook oracle \
+                 ({found} of {searches} searches found) >= floor {ROUTE_SPEEDUP_FLOOR:.1}x"
+            );
+        }
+        Err(e) => {
+            eprintln!("bench_guard: FAIL — adaptive-route kernel in {path}: {e}");
+            return ExitCode::FAILURE;
+        }
+    }
+
     match std::fs::read_to_string(&epr_path) {
         Ok(epr_text) => {
             match check_placement(&epr_text) {
@@ -466,9 +519,52 @@ fn main() -> ExitCode {
 #[cfg(test)]
 mod tests {
     use super::{
-        check_degradation, check_pass_secs, check_placement, check_scale, check_serve,
-        check_warm_estimate, parse_field, parse_fields, PIPELINE_STAGES,
+        check_adaptive_route, check_degradation, check_pass_secs, check_placement, check_scale,
+        check_serve, check_warm_estimate, parse_field, parse_fields, PIPELINE_STAGES,
     };
+
+    fn route_json(searches: u32, found: u32, speedup: f64) -> String {
+        format!(
+            "{{\"points\": [{{\"app\": \"GSE\", \"speedup\": 9.0}}], \"adaptive_route\": \
+             {{\"mesh_side\": 41, \"searches\": {searches}, \"found\": {found}, \
+             \"kernel_secs\": 0.01, \"naive_secs\": 0.03, \"speedup\": {speedup}}}, \
+             \"certify_secs\": 0.3}}"
+        )
+    }
+
+    #[test]
+    fn route_check_accepts_a_fast_kernel() {
+        assert_eq!(
+            check_adaptive_route(&route_json(2000, 854, 3.1)),
+            Ok((2000.0, 854.0, 3.1))
+        );
+        // Exactly the floor passes.
+        assert!(check_adaptive_route(&route_json(2000, 854, 1.5)).is_ok());
+    }
+
+    #[test]
+    fn route_check_rejects_a_slow_kernel() {
+        let err = check_adaptive_route(&route_json(2000, 854, 1.2)).unwrap_err();
+        assert!(err.contains("below the floor"), "{err}");
+    }
+
+    #[test]
+    fn route_check_needs_both_outcomes() {
+        for found in [0, 2000] {
+            let err = check_adaptive_route(&route_json(2000, found, 3.0)).unwrap_err();
+            assert!(err.contains("both outcomes"), "{err}");
+        }
+    }
+
+    #[test]
+    fn route_check_rejects_a_missing_section_or_field() {
+        let err = check_adaptive_route("{\"geomean_speedup\": 8.0}").unwrap_err();
+        assert!(err.contains("no adaptive_route section"), "{err}");
+        // A grid point's `speedup` never stands in for the section's.
+        let json = route_json(2000, 854, 3.0).replace("\"speedup\": 3", "\"gone\": 3");
+        let err = check_adaptive_route(&json).unwrap_err();
+        assert!(err.contains("missing `speedup`"), "{err}");
+    }
 
     #[test]
     fn parses_floats_ints_and_scientific() {

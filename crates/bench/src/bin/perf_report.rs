@@ -9,7 +9,10 @@
 //! matches the flow oracle exactly, so the reported numbers are for
 //! *the same answer*. Every timed engine point is the median of three
 //! runs (`runs_per_point` in the JSON) so a one-off scheduler hiccup
-//! cannot masquerade as a regression. Fast-engine points are measured
+//! cannot masquerade as a regression. The `adaptive_route` section
+//! races the braid engine's adaptive-route BFS kernel against the
+//! textbook oracle in `scq-bench` on one congested mesh, after
+//! asserting identical routes. Fast-engine points are measured
 //! sequentially (stable wall-clocks), then re-run in parallel once to
 //! report the fan-out wall-clock of the whole grid.
 
@@ -19,13 +22,14 @@ use std::fmt::Write as _;
 use std::time::Instant;
 
 use scq_bench::{
-    fig6_workloads, parallel_map, run_planar_on_defects, run_policy, run_policy_on_defects,
-    run_policy_reference, timed_median3,
+    congested_mesh, fig6_workloads, parallel_map, route_adaptive_oracle, run_planar_on_defects,
+    run_policy, run_policy_on_defects, run_policy_reference, timed_median3,
 };
 use scq_braid::{schedule_traced, BraidConfig, Policy};
 use scq_core::{run_toolflow_timed, ToolflowConfig};
 use scq_ir::{DependencyDag, InteractionGraph};
 use scq_layout::place;
+use scq_mesh::{ClaimId, Coord, Path, RouteScratch};
 use scq_teleport::{
     schedule_planar, schedule_planar_traced, schedule_simd, simulate_epr_distribution,
     simulate_epr_on_fabric, CongestionAwarePlacement, DistributionPolicy, EprConfig, EprDemand,
@@ -70,6 +74,27 @@ const PASS_NAMES: [&str; 7] = [
     "planar-schedule",
     "estimate",
 ];
+
+/// Side of the congested mesh of the `adaptive_route` section, in
+/// routers (the braid mesh of SHA-1 at scale 1).
+const ROUTE_MESH_SIDE: u32 = 41;
+/// Adaptive searches timed per side of the `adaptive_route` race.
+const ROUTE_SEARCHES: usize = 2000;
+
+/// The `adaptive_route` section: the same searches through the kernel
+/// and through the oracle.
+struct RouteRace {
+    searches: usize,
+    found: usize,
+    kernel_secs: f64,
+    naive_secs: f64,
+}
+
+impl RouteRace {
+    fn speedup(&self) -> f64 {
+        self.naive_secs / self.kernel_secs.max(1e-12)
+    }
+}
 
 struct Point {
     app: &'static str,
@@ -160,6 +185,7 @@ fn main() {
     // warm `estimate` stage costs at most a tenth of the cold one.
     let pass_secs = pass_breakdown(&workloads);
     let pass_secs_warm = pass_breakdown(&workloads);
+    let race = route_race();
 
     let total_fast: f64 = points.iter().map(|p| p.fast_secs).sum();
     let total_ref: f64 = points.iter().map(|p| p.ref_secs).sum();
@@ -204,6 +230,15 @@ fn main() {
         "grid certification wall-clock (scq-verify replay): {:.1}ms",
         certify_secs * 1e3
     );
+    println!(
+        "adaptive-route BFS ({ROUTE_MESH_SIDE}x{ROUTE_MESH_SIDE} congested mesh, {} searches, \
+         {} found): kernel {:.3}ms, textbook oracle {:.3}ms, speedup {:.1}x",
+        race.searches,
+        race.found,
+        race.kernel_secs * 1e3,
+        race.naive_secs * 1e3,
+        race.speedup()
+    );
     println!("\npipeline pass breakdown (summed over the fig6 apps):");
     println!("  {:<20} {:>11} {:>11}", "pass", "cold", "warm");
     for ((name, cold), warm) in PASS_NAMES.iter().zip(&pass_secs).zip(&pass_secs_warm) {
@@ -243,12 +278,85 @@ fn main() {
         }
         let _ = writeln!(json, "  }},");
     }
+    let _ = writeln!(
+        json,
+        "  \"adaptive_route\": {{\"mesh_side\": {ROUTE_MESH_SIDE}, \"searches\": {}, \"found\": {}, \"kernel_secs\": {:.6}, \"naive_secs\": {:.6}, \"speedup\": {:.2}}},",
+        race.searches,
+        race.found,
+        race.kernel_secs,
+        race.naive_secs,
+        race.speedup()
+    );
     let _ = writeln!(json, "  \"certify_secs\": {certify_secs:.6}");
     json.push('}');
     json.push('\n');
     write_report("BENCH_sched.json", &json);
 
     epr_report(&workloads);
+}
+
+/// Races [`scq_mesh::Mesh::route_adaptive_into`] against the textbook
+/// oracle on a fixed congested mesh: [`ROUTE_SEARCHES`] searches between routers
+/// free for the searching owner (one of the three claim owners, or an
+/// owner holding nothing), so every search floods; some reach `dst`
+/// and some are walled in. Asserts both sides return the same route
+/// for every search before timing either, median of three per side.
+fn route_race() -> RouteRace {
+    let side = ROUTE_MESH_SIDE;
+    let mesh = congested_mesh(side, side, 700, 10, 3, 0.0, 41);
+    // Fibonacci hashing of a counter: a fixed, well-spread router
+    // sequence.
+    let mut draw = 0u64;
+    let mut pick = |owner: ClaimId| loop {
+        draw += 1;
+        let v = draw.wrapping_mul(0x9E37_79B9_7F4A_7C15) >> 32;
+        let c = Coord::new(
+            (v % u64::from(side)) as u32,
+            (v / u64::from(side) % u64::from(side)) as u32,
+        );
+        if mesh.is_path_free(&Path::new(vec![c]), owner) {
+            return c;
+        }
+    };
+    let searches: Vec<(Coord, Coord, ClaimId)> = (0..ROUTE_SEARCHES)
+        .map(|i| {
+            let owner = (i % 4) as ClaimId;
+            (pick(owner), pick(owner), owner)
+        })
+        .collect();
+    let mut scratch = RouteScratch::new();
+    let mut out = Path::empty();
+    let mut found = 0;
+    for &(src, dst, owner) in &searches {
+        let hit = mesh.route_adaptive_into(src, dst, owner, &mut scratch, &mut out);
+        let oracle = route_adaptive_oracle(&mesh, src, dst, owner);
+        assert_eq!(
+            hit.then(|| out.nodes().to_vec()),
+            oracle.map(|p| p.nodes().to_vec()),
+            "adaptive-route kernel diverged from the oracle on {src} -> {dst} for owner {owner}"
+        );
+        found += usize::from(hit);
+    }
+    let (_, kernel_secs) = timed_median3(|| {
+        searches
+            .iter()
+            .filter(|&&(src, dst, owner)| {
+                mesh.route_adaptive_into(src, dst, owner, &mut scratch, &mut out)
+            })
+            .count()
+    });
+    let (_, naive_secs) = timed_median3(|| {
+        searches
+            .iter()
+            .filter(|&&(src, dst, owner)| route_adaptive_oracle(&mesh, src, dst, owner).is_some())
+            .count()
+    });
+    RouteRace {
+        searches: searches.len(),
+        found,
+        kernel_secs,
+        naive_secs,
+    }
 }
 
 /// Per-pass wall clock of one timed toolflow run per fig6 app at the

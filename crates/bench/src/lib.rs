@@ -25,9 +25,12 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
+use std::collections::VecDeque;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Mutex;
 
+use rand::rngs::StdRng;
+use rand::{Rng, SeedableRng};
 use scq_apps::{ising, sha1, square_root, Benchmark, IsingParams, Sha1Params, SqParams};
 use scq_braid::{
     braid_mesh_dims, schedule, schedule_on_defects, schedule_reference, BraidConfig, BraidSchedule,
@@ -35,7 +38,7 @@ use scq_braid::{
 };
 use scq_ir::{Circuit, DependencyDag, InteractionGraph};
 use scq_layout::place;
-use scq_mesh::{CommError, DefectMap, Topology};
+use scq_mesh::{ClaimId, CommError, Coord, DefectMap, Mesh, Path, Topology};
 use scq_teleport::{
     hop_cycles_for_distance, schedule_planar_on_defects, schedule_simd, EprConfig, EprRequest,
     FabricEprConfig, PlanarConfig, PlanarMachine, PlanarSchedule, SimdConfig,
@@ -351,6 +354,95 @@ pub fn timed_median3<T>(mut f: impl FnMut() -> T) -> (T, f64) {
     }
     secs.sort_by(f64::total_cmp);
     (result, secs[1])
+}
+
+/// Textbook breadth-first search for a free route `src -> dst`: the
+/// independent oracle of [`Mesh::route_adaptive_into`]'s visit-order
+/// contract.
+///
+/// It shares no code with the kernel. It asks the mesh only public
+/// questions: a router is usable when the one-node [`Path`] on it is
+/// free for `owner`, and a step when the two-node path is
+/// ([`Mesh::is_path_free`]). The frontier is a `VecDeque`, neighbours
+/// are offered east, west, south, north, the first discoverer of a
+/// router stays its parent, and the search stops when it dequeues
+/// `dst`. Returns `None` when no free route exists.
+///
+/// # Panics
+///
+/// Panics if either endpoint is off the mesh.
+pub fn route_adaptive_oracle(mesh: &Mesh, src: Coord, dst: Coord, owner: ClaimId) -> Option<Path> {
+    let free = |nodes: Vec<Coord>| mesh.is_path_free(&Path::new(nodes), owner);
+    if !free(vec![src]) || !free(vec![dst]) {
+        return None;
+    }
+    let (w, h) = (mesh.width(), mesh.height());
+    let index = |c: Coord| (c.y * w + c.x) as usize;
+    let mut visited = vec![false; (w * h) as usize];
+    let mut parent: Vec<Option<Coord>> = vec![None; (w * h) as usize];
+    visited[index(src)] = true;
+    let mut queue = VecDeque::from([src]);
+    while let Some(cur) = queue.pop_front() {
+        if cur == dst {
+            let mut route = vec![dst];
+            while let Some(p) = parent[index(route[route.len() - 1])] {
+                route.push(p);
+            }
+            route.reverse();
+            return Some(Path::new(route));
+        }
+        let east = (cur.x + 1 < w).then(|| Coord::new(cur.x + 1, cur.y));
+        let west = cur.x.checked_sub(1).map(|x| Coord::new(x, cur.y));
+        let south = (cur.y + 1 < h).then(|| Coord::new(cur.x, cur.y + 1));
+        let north = cur.y.checked_sub(1).map(|y| Coord::new(cur.x, y));
+        for next in [east, west, south, north].into_iter().flatten() {
+            if !visited[index(next)] && free(vec![cur, next]) {
+                visited[index(next)] = true;
+                parent[index(next)] = Some(cur);
+                queue.push_back(next);
+            }
+        }
+    }
+    None
+}
+
+/// A `width x height` mesh congested the way a braid schedule congests
+/// it: `routes` attempts to claim the dimension-ordered route between
+/// two random routers at most `span` hops apart per axis, each for one
+/// of the owners `1..=owners` (an attempt that collides with a
+/// foreign claim claims nothing). With `defect_rate > 0` the mesh
+/// starts from a defect map sampled with the same `seed`.
+pub fn congested_mesh(
+    width: u32,
+    height: u32,
+    routes: usize,
+    span: u32,
+    owners: ClaimId,
+    defect_rate: f64,
+    seed: u64,
+) -> Mesh {
+    let mut mesh = if defect_rate > 0.0 {
+        let map = DefectMap::sample(Topology::new(width, height), defect_rate, seed);
+        Mesh::with_defects(width, height, &map)
+    } else {
+        Mesh::new(width, height)
+    };
+    let mut rng = StdRng::seed_from_u64(seed);
+    for i in 0..routes {
+        let (x, y) = (rng.gen_range(0..width), rng.gen_range(0..height));
+        let a = Coord::new(x, y);
+        let b = Coord::new(
+            rng.gen_range(x.saturating_sub(span)..(x + span + 1).min(width)),
+            rng.gen_range(y.saturating_sub(span)..(y + span + 1).min(height)),
+        );
+        let route = if i % 2 == 0 {
+            mesh.route_xy(a, b)
+        } else {
+            mesh.route_yx(a, b)
+        };
+        let _ = mesh.try_claim(&route, 1 + i as ClaimId % owners);
+    }
+    mesh
 }
 
 /// Maps `f` over `items` on a scoped thread pool, preserving input

@@ -56,6 +56,15 @@
 //! the utilization clock over an idle stretch in one step so an
 //! event-driven scheduler can jump between wake times.
 //!
+//! The adaptive BFS is the hot loop of congested braid runs, and its
+//! result is part of every braid schedule. It therefore keeps a fixed
+//! visit order, whatever its implementation: first in, first out from
+//! `src`; neighbours offered east, west, south, north; and each router's
+//! first discoverer kept as its predecessor. Both braid engines route
+//! through it, so their equivalence suite cannot see a change of that
+//! order; `scq-bench` checks it against an independent textbook BFS
+//! instead (see [`Mesh::route_adaptive_into`]).
+//!
 //! # Examples
 //!
 //! ```

@@ -1,7 +1,5 @@
 //! The circuit-switched mesh: atomic path claims, routing, utilization.
 
-use std::collections::VecDeque;
-
 use crate::coord::{Coord, Path};
 use crate::defect::DefectMap;
 use crate::topology::{DimOrder, Topology};
@@ -24,17 +22,27 @@ const DEFECT: ClaimId = ClaimId::MAX - 1;
 /// searches. One `RouteScratch` amortizes those allocations across every
 /// adaptive routing attempt of a scheduling run. Visited state is
 /// invalidated by a generation stamp, so reuse never requires clearing
-/// the arrays.
+/// the arrays, and one scratch may serve meshes of any size in any
+/// order (the buffers only ever grow).
+///
+/// A scratch carries no state from one search into the next: the
+/// route a search returns depends only on the mesh, the endpoints and
+/// the owner, never on which searches the scratch served before (see
+/// the visit-order contract on [`Mesh::route_adaptive_into`]).
 #[derive(Clone, Debug, Default)]
 pub struct RouteScratch {
-    /// BFS predecessor per node index (valid only when stamped).
+    /// Packed (`x | y << 16`) BFS predecessor per node index (valid
+    /// only when stamped).
     prev: Vec<u32>,
     /// Generation stamp per node index; equal to `stamp` means visited.
     seen: Vec<u64>,
     /// Current search generation.
     stamp: u64,
-    /// BFS frontier of flat node indices.
-    queue: VecDeque<u32>,
+    /// BFS frontier of packed (`x | y << 16`) router coordinates, in
+    /// discovery order, one slot per node (a router joins at most
+    /// once); the search appends through a tail index and reads
+    /// through a head index instead of popping.
+    frontier: Vec<u32>,
 }
 
 impl RouteScratch {
@@ -50,8 +58,24 @@ impl RouteScratch {
             self.seen.resize(nodes, 0);
         }
         self.stamp += 1;
-        self.queue.clear();
+        if self.frontier.len() < nodes {
+            self.frontier.resize(nodes, 0);
+        }
     }
+}
+
+/// Largest mesh side, in routers. The adaptive BFS packs a router as
+/// `x | y << 16` in one `u32`, so both coordinates must fit in 16 bits.
+const MAX_SIDE: u32 = 1 << 16;
+
+/// Packs router `(x, y)` as `x | y << 16` (see [`MAX_SIDE`]).
+fn pack(c: Coord) -> u32 {
+    c.x | c.y << 16
+}
+
+/// Inverse of [`pack`].
+fn unpack(p: u32) -> Coord {
+    Coord::new(p & 0xFFFF, p >> 16)
 }
 
 /// Claimed-interval summary of one router row or column.
@@ -169,9 +193,15 @@ impl Mesh {
     ///
     /// # Panics
     ///
-    /// Panics if either dimension is zero.
+    /// Panics if either dimension is zero or larger than 65536 routers
+    /// (the adaptive BFS packs a router's coordinates into 16 bits
+    /// each).
     pub fn new(width: u32, height: u32) -> Self {
         let topo = Topology::new(width, height);
+        assert!(
+            width <= MAX_SIDE && height <= MAX_SIDE,
+            "mesh dimensions must be at most {MAX_SIDE} routers per side, got {width}x{height}"
+        );
         Mesh {
             topo,
             h_links: vec![FREE; topo.num_h_links()],
@@ -200,8 +230,8 @@ impl Mesh {
     ///
     /// # Panics
     ///
-    /// Panics if either dimension is zero or the map's topology is not
-    /// `width x height`.
+    /// Panics if either dimension is zero or larger than 65536 routers
+    /// (as [`Mesh::new`]), or the map's topology is not `width x height`.
     pub fn with_defects(width: u32, height: u32, defects: &DefectMap) -> Self {
         let mut mesh = Mesh::new(width, height);
         let map_topo = defects.topology();
@@ -860,6 +890,27 @@ impl Mesh {
     /// for hot scheduling loops. Returns `false` (leaving `out`
     /// unspecified) when no free corridor exists.
     ///
+    /// # Visit-order contract
+    ///
+    /// The route is the one a textbook breadth-first search finds when
+    /// it
+    ///
+    /// - starts from `src` alone and expands routers first in, first
+    ///   out;
+    /// - offers each router's neighbours in the fixed order east
+    ///   (`x + 1`), west (`x - 1`), south (`y + 1`), north (`y - 1`),
+    ///   skipping visited routers and any router or link held by
+    ///   someone other than `owner`;
+    /// - records for each router the predecessor that discovered it
+    ///   first, and never updates it.
+    ///
+    /// The returned path walks those predecessors back from `dst`, so
+    /// among the shortest free routes it is a fixed one; `src == dst`
+    /// yields the one-node path. The braid scheduler and its reference
+    /// engine both route through this search, and their schedules are
+    /// byte-identical across changes only as long as this order holds.
+    /// `scq-bench` keeps an independent oracle of the contract.
+    ///
     /// # Panics
     ///
     /// Panics if either endpoint is off the mesh.
@@ -875,62 +926,95 @@ impl Mesh {
             self.contains(src) && self.contains(dst),
             "endpoints must be on the mesh"
         );
-        let free_node = |i: usize| {
-            let o = self.nodes[i];
-            o == FREE || o == owner
-        };
-        if !free_node(self.node_index(src)) || !free_node(self.node_index(dst)) {
-            return false;
-        }
-        // BFS over free links/nodes; deterministic neighbor order
-        // (east, west, south, north) keeps results reproducible. The
-        // flood is the hot loop of contention-bound scheduling runs, so
-        // it works on flat node indices: neighbors are `i ± 1` /
-        // `i ± width`, the vertical link below node `i` is `v_links[i]`,
-        // and the horizontal link east of it is `h_links[i - y]`.
-        let (w, h) = (self.width() as usize, self.height() as usize);
-        let n = w * h;
-        scratch.begin(n);
-        let stamp = scratch.stamp;
-        let free_link = |slot: ClaimId| slot == FREE || slot == owner;
-        let dst_i = self.node_index(dst);
-        let src_i = self.node_index(src);
-        scratch.seen[src_i] = stamp;
-        scratch.queue.push_back(src_i as u32);
-        'bfs: while let Some(cur) = scratch.queue.pop_front() {
-            let cur = cur as usize;
-            let (x, y) = (cur % w, cur / w);
-            // (neighbor index, link slot), in east/west/south/north order.
-            let neighbors = [
-                (x + 1 < w).then(|| (cur + 1, self.h_links[cur - y])),
-                (x > 0).then(|| (cur - 1, self.h_links[cur - y - 1])),
-                (y + 1 < h).then(|| (cur + w, self.v_links[cur])),
-                (y > 0).then(|| (cur - w, self.v_links[cur - w])),
-            ];
-            for (i, link) in neighbors.into_iter().flatten() {
-                if scratch.seen[i] == stamp || !free_node(i) || !free_link(link) {
-                    continue;
-                }
-                scratch.seen[i] = stamp;
-                scratch.prev[i] = cur as u32;
-                if i == dst_i {
-                    break 'bfs;
-                }
-                scratch.queue.push_back(i as u32);
-            }
-        }
-        if scratch.seen[dst_i] != stamp {
+        let free = |o: ClaimId| (o == FREE) | (o == owner);
+        let (src_i, dst_i) = (self.node_index(src), self.node_index(dst));
+        if !free(self.nodes[src_i]) || !free(self.nodes[dst_i]) {
             return false;
         }
         let nodes = out.nodes_mut();
         nodes.clear();
+        if src == dst {
+            nodes.push(src);
+            return true;
+        }
+        // The flood is the hot loop of contention-bound scheduling runs.
+        // Frontier entries are packed coordinates, so a router's `x` and
+        // `y` come from a mask and a shift; its node index is
+        // `y * width + x`, the vertical link below it is `v_links[i]`
+        // and the horizontal link east of it is `h_links[i - y]`.
+        let (w, h) = (self.width() as usize, self.height() as usize);
+        let n = w * h;
+        scratch.begin(n);
+        let RouteScratch {
+            prev,
+            seen,
+            stamp,
+            frontier,
+        } = scratch;
+        let stamp = *stamp;
+        let (occ, h_links, v_links) = (&self.nodes[..], &self.h_links[..], &self.v_links[..]);
+        let (seen, prev) = (&mut seen[..n], &mut prev[..n]);
+        // Non-short-circuit `&`: three loads and one branch per
+        // neighbour beat three hard-to-predict branches.
+        let open =
+            |seen: &[u64], i: usize, link: ClaimId| (seen[i] != stamp) & free(occ[i]) & free(link);
+        seen[src_i] = stamp;
+        let frontier = &mut frontier[..n];
+        frontier[0] = pack(src);
+        let (mut head, mut tail) = (0, 1);
+        while head < tail {
+            let p = frontier[head];
+            head += 1;
+            let (x, y) = ((p & 0xFFFF) as usize, (p >> 16) as usize);
+            let cur = y * w + x;
+            // Each discovery marks, links back, and either ends the
+            // search at `dst` or joins the frontier, in east, west,
+            // south, north order.
+            if x + 1 < w && open(seen, cur + 1, h_links[cur - y]) {
+                seen[cur + 1] = stamp;
+                prev[cur + 1] = p;
+                if cur + 1 == dst_i {
+                    break;
+                }
+                frontier[tail] = p + 1;
+                tail += 1;
+            }
+            if x > 0 && open(seen, cur - 1, h_links[cur - y - 1]) {
+                seen[cur - 1] = stamp;
+                prev[cur - 1] = p;
+                if cur - 1 == dst_i {
+                    break;
+                }
+                frontier[tail] = p - 1;
+                tail += 1;
+            }
+            if y + 1 < h && open(seen, cur + w, v_links[cur]) {
+                seen[cur + w] = stamp;
+                prev[cur + w] = p;
+                if cur + w == dst_i {
+                    break;
+                }
+                frontier[tail] = p + (1 << 16);
+                tail += 1;
+            }
+            if y > 0 && open(seen, cur - w, v_links[cur - w]) {
+                seen[cur - w] = stamp;
+                prev[cur - w] = p;
+                if cur - w == dst_i {
+                    break;
+                }
+                frontier[tail] = p - (1 << 16);
+                tail += 1;
+            }
+        }
+        if seen[dst_i] != stamp {
+            return false;
+        }
         nodes.push(dst);
-        let mut cur = dst;
-        let width = self.width();
-        while cur != src {
-            let p = scratch.prev[self.node_index(cur)];
-            cur = Coord::new(p % width, p / width);
-            nodes.push(cur);
+        let (src_p, mut cur) = (pack(src), pack(dst));
+        while cur != src_p {
+            cur = prev[self.node_index(unpack(cur))];
+            nodes.push(unpack(cur));
         }
         nodes.reverse();
         true
@@ -1118,6 +1202,41 @@ mod tests {
     #[should_panic(expected = "dimensions must be positive")]
     fn zero_size_mesh_rejected() {
         let _ = Mesh::new(0, 3);
+    }
+
+    #[test]
+    #[should_panic(expected = "at most 65536 routers per side")]
+    fn oversized_mesh_rejected() {
+        let _ = Mesh::new(MAX_SIDE + 1, 1);
+    }
+
+    #[test]
+    fn adaptive_routes_reach_the_largest_coordinates() {
+        // The packed frontier must carry x = 65535 and y = 65535.
+        let mut scratch = RouteScratch::new();
+        let mut out = Path::empty();
+        let wide = Mesh::new(MAX_SIDE, 1);
+        let far = Coord::new(MAX_SIDE - 1, 0);
+        assert!(wide.route_adaptive_into(Coord::new(0, 0), far, 1, &mut scratch, &mut out));
+        assert_eq!(out.nodes(), wide.route_xy(Coord::new(0, 0), far).nodes());
+        let tall = Mesh::new(1, MAX_SIDE);
+        let far = Coord::new(0, MAX_SIDE - 1);
+        assert!(tall.route_adaptive_into(far, Coord::new(0, 0), 1, &mut scratch, &mut out));
+        assert_eq!(out.nodes(), tall.route_xy(far, Coord::new(0, 0)).nodes());
+    }
+
+    #[test]
+    fn adaptive_route_to_self_is_one_node() {
+        let mut m = Mesh::new(4, 4);
+        let c = Coord::new(2, 1);
+        let mut scratch = RouteScratch::new();
+        let mut out = Path::new(vec![Coord::new(0, 0), Coord::new(1, 0)]);
+        assert!(m.route_adaptive_into(c, c, 1, &mut scratch, &mut out));
+        assert_eq!(out.nodes(), &[c]);
+        // A router held by someone else is not a route, even to itself.
+        assert!(m.try_claim(&Path::new(vec![c]), 9));
+        assert!(!m.route_adaptive_into(c, c, 1, &mut scratch, &mut out));
+        assert!(m.route_adaptive_into(c, c, 9, &mut scratch, &mut out));
     }
 
     #[test]

@@ -20,8 +20,9 @@ use crate::finding::{Finding, Invariant};
 
 /// A spatial resource a braid can hold: a router, or the link between
 /// two adjacent routers (normalized so either traversal direction maps
-/// to the same key).
-#[derive(Clone, Copy, PartialEq, Eq, Hash)]
+/// to the same key). Ordered so findings can be reported in resource
+/// order.
+#[derive(Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 enum Resource {
     Node(Coord),
     Link(Coord, Coord),
@@ -214,7 +215,8 @@ fn check_defects(ev: &scq_braid::BraidEvent, map: &DefectMap, out: &mut Vec<Find
 /// The interval race detector: every event holds each router and link
 /// of its path for `[open, close)`; for each resource, sort the holds
 /// by open cycle and flag any hold that begins before the previous
-/// maximum close.
+/// maximum close. Findings come out in resource order, then in hold
+/// order, whatever order the hash map yields the resources in.
 fn check_exclusivity(trace: &BraidTrace, out: &mut Vec<Finding>) {
     // (open, close, op) per resource.
     let mut holds: HashMap<Resource, Vec<(u64, u64, u32)>> = HashMap::new();
@@ -233,6 +235,7 @@ fn check_exclusivity(trace: &BraidTrace, out: &mut Vec<Finding>) {
                 .push((ev.open_cycle, ev.close_cycle, ev.op));
         }
     }
+    let mut found: Vec<(Resource, Finding)> = Vec::new();
     for (resource, mut intervals) in holds {
         if intervals.len() < 2 {
             continue;
@@ -251,7 +254,7 @@ fn check_exclusivity(trace: &BraidTrace, out: &mut Vec<Finding>) {
                     Resource::Node(n) => f.with_node(n),
                     Resource::Link(a, b) => f.with_link(a, b),
                 };
-                out.push(f);
+                found.push((resource, f));
             }
             if close > max_close {
                 max_close = close;
@@ -259,6 +262,10 @@ fn check_exclusivity(trace: &BraidTrace, out: &mut Vec<Finding>) {
             }
         }
     }
+    // Stable: one resource's findings keep their hold order. A clean
+    // trace sorts nothing.
+    found.sort_by_key(|&(resource, _)| resource);
+    out.extend(found.into_iter().map(|(_, f)| f));
 }
 
 /// Dependency-order preservation: with braids released before new ones
@@ -274,56 +281,55 @@ fn check_dependencies(
         // Reported by the acyclicity pass; nothing sound to check here.
         return;
     }
-    let mut first_open: HashMap<u32, u64> = HashMap::new();
-    let mut last_close: HashMap<u32, u64> = HashMap::new();
-    let mut leg_bounds: HashMap<(u32, u8), (u64, u64)> = HashMap::new();
+    // Per op, over its events: first open, last close, and the first
+    // open of leg 2 and last close of leg 1. Untraced ops and legs keep
+    // the sentinels (open `u64::MAX`, close 0), which no comparison
+    // below flags. Indexed by op, so findings come out in op order.
+    let n = circuit.len();
+    let (mut first_open, mut last_close) = (vec![u64::MAX; n], vec![0u64; n]);
+    let (mut leg2_open, mut leg1_close) = (vec![u64::MAX; n], vec![0u64; n]);
     for ev in &trace.events {
         // Phantom ops are already a demand-consistency finding; keep
         // them out of the DAG lookups below.
-        if (ev.op as usize) >= circuit.len() {
+        let op = ev.op as usize;
+        if op >= n {
             continue;
         }
-        let fo = first_open.entry(ev.op).or_insert(u64::MAX);
-        *fo = (*fo).min(ev.open_cycle);
-        let lc = last_close.entry(ev.op).or_insert(0);
-        *lc = (*lc).max(ev.close_cycle);
-        let lb = leg_bounds.entry((ev.op, ev.leg)).or_insert((u64::MAX, 0));
-        lb.0 = lb.0.min(ev.open_cycle);
-        lb.1 = lb.1.max(ev.close_cycle);
-    }
-    for (op, &open) in &first_open {
-        for &p in dag.preds(*op as usize) {
-            if let Some(&close) = last_close.get(&p) {
-                if open < close {
-                    out.push(
-                        Finding::error(
-                            Invariant::DependencyOrder,
-                            format!(
-                                "op {op} opens its braid at {open} before its dependency {p} releases at {close}"
-                            ),
-                        )
-                        .with_op(*op)
-                        .with_cycle(open),
-                    );
-                }
-            }
+        first_open[op] = first_open[op].min(ev.open_cycle);
+        last_close[op] = last_close[op].max(ev.close_cycle);
+        match ev.leg {
+            1 => leg1_close[op] = leg1_close[op].max(ev.close_cycle),
+            2 => leg2_open[op] = leg2_open[op].min(ev.open_cycle),
+            _ => {}
         }
     }
-    for (&(op, leg), &(open, _)) in &leg_bounds {
-        if leg != 2 {
-            continue;
-        }
-        if let Some(&(_, close1)) = leg_bounds.get(&(op, 1)) {
-            if open < close1 {
+    for (op, &open) in first_open.iter().enumerate() {
+        for &p in dag.preds(op) {
+            let close = last_close[p as usize];
+            if open < close {
                 out.push(
                     Finding::error(
                         Invariant::DependencyOrder,
-                        format!("op {op} opens leg 2 at {open} before leg 1 closes at {close1}"),
+                        format!(
+                            "op {op} opens its braid at {open} before its dependency {p} releases at {close}"
+                        ),
                     )
-                    .with_op(op)
+                    .with_op(op as u32)
                     .with_cycle(open),
                 );
             }
+        }
+    }
+    for (op, (&open, &close1)) in leg2_open.iter().zip(&leg1_close).enumerate() {
+        if open < close1 {
+            out.push(
+                Finding::error(
+                    Invariant::DependencyOrder,
+                    format!("op {op} opens leg 2 at {open} before leg 1 closes at {close1}"),
+                )
+                .with_op(op as u32)
+                .with_cycle(open),
+            );
         }
     }
 }

@@ -390,6 +390,8 @@ fn check_hops(
 /// Independent lane-occupancy sweep: every hop attempt (failed or not)
 /// holds one swap lane on its link for `[enter, exit)`; at no instant
 /// may a link's concurrent holds exceed the configured capacity.
+/// Findings come out in link order, whatever order the hash map yields
+/// the links in.
 fn check_lanes(transcript: &EprTranscript, out: &mut Vec<Finding>) {
     if transcript.link_capacity == FabricConfig::UNLIMITED {
         return;
@@ -405,6 +407,7 @@ fn check_lanes(transcript: &EprTranscript, out: &mut Vec<Finding>) {
         events.push((hop.enter, 1));
         events.push((hop.exit, -1));
     }
+    let mut found: Vec<((Coord, Coord), Finding)> = Vec::new();
     for ((a, b), mut events) in per_link {
         // Sort exits before enters at equal times: a lane freed at t is
         // available to a message entering at t.
@@ -414,7 +417,8 @@ fn check_lanes(transcript: &EprTranscript, out: &mut Vec<Finding>) {
         for (t, delta) in events {
             live += delta;
             if live > i64::from(transcript.link_capacity) && !flagged {
-                out.push(
+                found.push((
+                    (a, b),
                     Finding::error(
                         Invariant::LaneCapacity,
                         format!(
@@ -424,11 +428,14 @@ fn check_lanes(transcript: &EprTranscript, out: &mut Vec<Finding>) {
                     )
                     .with_cycle(t)
                     .with_link(a, b),
-                );
+                ));
                 flagged = true;
             }
         }
     }
+    // At most one finding per link; a clean transcript sorts nothing.
+    found.sort_unstable_by_key(|&(link, _)| link);
+    out.extend(found.into_iter().map(|(_, f)| f));
 }
 
 /// The SIMD issue order must respect the dependency DAG: an op can

@@ -254,3 +254,48 @@ fn planar_transient_fault_on_clean_fabric_flags_defect_avoidance() {
     let findings = certify_planar_schedule(&s, &t, &c, &dag, None);
     assert_flags(&findings, Invariant::DefectAvoidance);
 }
+
+// --------------------------------------------------------- determinism
+
+/// Certifies `certify`'s artifact twice in one process and asserts both
+/// runs report the same findings in the same order. Two runs get two
+/// differently seeded hash maps, so a checker that emitted findings in
+/// hash order would disagree with itself here.
+fn assert_stable_order(certify: impl Fn() -> Vec<Finding>, expected: Invariant, at_least: usize) {
+    let first = certify();
+    let flagged = first.iter().filter(|f| f.invariant == expected).count();
+    assert!(
+        flagged >= at_least,
+        "expected at least {at_least} {} findings, got {flagged}",
+        expected.name()
+    );
+    assert_eq!(format!("{first:?}"), format!("{:?}", certify()));
+}
+
+#[test]
+fn braid_findings_come_out_in_a_fixed_order() {
+    let (c, dag, mut trace) = braid_fixture();
+    assert!(certify_braid_trace(&trace, &c, &dag, None).is_empty());
+    // Hold every route for the whole schedule: every shared router and
+    // link overlaps, and every traced dependency opens before its
+    // predecessor releases.
+    for ev in &mut trace.events {
+        (ev.open_cycle, ev.close_cycle) = (0, trace.cycles);
+    }
+    let certify = || certify_braid_trace(&trace, &c, &dag, None);
+    assert_stable_order(certify, Invariant::SpatialExclusivity, 40);
+    assert_stable_order(certify, Invariant::DependencyOrder, 10);
+}
+
+#[test]
+fn planar_findings_come_out_in_a_fixed_order() {
+    let (c, dag, s, mut t) = planar_fixture();
+    assert!(certify_planar_schedule(&s, &t, &c, &dag, None).is_empty());
+    // Overflow the lanes of every link the transcript uses.
+    let hops = t.hops.clone();
+    for _ in 0..t.link_capacity {
+        t.hops.extend_from_slice(&hops);
+    }
+    let certify = || certify_planar_schedule(&s, &t, &c, &dag, None);
+    assert_stable_order(certify, Invariant::LaneCapacity, 10);
+}
