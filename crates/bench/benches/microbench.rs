@@ -332,38 +332,6 @@ fn bench_fabric_throughput(c: &mut Criterion) {
     }
 }
 
-/// Work-stealing deque dispatch vs the retained atomic-cursor baseline,
-/// on a deliberately skewed batch (one monster item seeded at the front
-/// of worker 0's chunk, hundreds of trivial items behind it) and on a
-/// balanced one. The skewed case is where stealing pays; the balanced
-/// case is where chunk seeding must not cost anything.
-fn bench_dispatch(c: &mut Criterion) {
-    use scq_bench::{parallel_map, parallel_map_cursor};
-    let spin = |&n: &u64| -> u64 {
-        let mut acc = 0u64;
-        for i in 0..n {
-            acc = acc.wrapping_add(i).rotate_left(7);
-        }
-        std::hint::black_box(acc)
-    };
-    let skewed: Vec<u64> = std::iter::once(200_000u64)
-        .chain(std::iter::repeat_n(200, 255))
-        .collect();
-    let balanced: Vec<u64> = vec![1_000; 256];
-    c.bench_function("dispatch/cursor-skewed-256", |b| {
-        b.iter(|| parallel_map_cursor(std::hint::black_box(&skewed), spin))
-    });
-    c.bench_function("dispatch/steal-skewed-256", |b| {
-        b.iter(|| parallel_map(std::hint::black_box(&skewed), spin))
-    });
-    c.bench_function("dispatch/cursor-balanced-256", |b| {
-        b.iter(|| parallel_map_cursor(std::hint::black_box(&balanced), spin))
-    });
-    c.bench_function("dispatch/steal-balanced-256", |b| {
-        b.iter(|| parallel_map(std::hint::black_box(&balanced), spin))
-    });
-}
-
 criterion_group!(
     benches,
     bench_dag_construction,
@@ -376,7 +344,6 @@ criterion_group!(
     bench_traced_vs_untraced,
     bench_event_queue,
     bench_epr_pipeline,
-    bench_fabric_throughput,
-    bench_dispatch
+    bench_fabric_throughput
 );
 criterion_main!(benches);

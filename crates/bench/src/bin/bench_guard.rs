@@ -33,10 +33,8 @@
 //!    routing/scheduling regression, never timing noise. Skipped with a
 //!    note when the file predates the section.
 //! 5. **Serving layer** (`BENCH_serve.json`): the duplicate-laden
-//!    stream's cache hit rate must stay >= 0.5, at least one app must
-//!    show a warm/cold latency ratio >= 10x, and the work-stealing
-//!    dispatcher must not run slower than the retained cursor baseline
-//!    beyond a 5% noise allowance (ratio <= 1.05). Skipped with a note
+//!    stream's cache hit rate must stay >= 0.5, and at least one app
+//!    must show a warm/cold latency ratio >= 10x. Skipped with a note
 //!    when the file is absent.
 //! 6. **Scale tier** (`BENCH_scale.json`): at least four points must
 //!    sit at >= 10x fig6 scale, every point must sustain the committed
@@ -269,11 +267,10 @@ fn check_degradation(json: &str) -> Result<Option<usize>, String> {
 /// regression past CI.
 const SERVE_HIT_RATE_FLOOR: f64 = 0.5;
 const SERVE_WARM_SPEEDUP_FLOOR: f64 = 10.0;
-const SERVE_DISPATCH_RATIO_CEILING: f64 = 1.05;
 
-/// Checks a serve report: cache hit rate, warm/cold ratio, and the
-/// dispatch A/B ratio. Returns a human-readable ok-summary, or an error
-/// string on violation or malformed input.
+/// Checks a serve report: cache hit rate and warm/cold ratio. Returns a
+/// human-readable ok-summary, or an error string on violation or
+/// malformed input.
 fn check_serve(json: &str) -> Result<String, String> {
     let Some(hit_rate) = parse_field(json, "hit_rate") else {
         return Err("no hit_rate field".into());
@@ -292,18 +289,9 @@ fn check_serve(json: &str) -> Result<String, String> {
             "best warm/cold ratio {warm:.1}x fell below the floor {SERVE_WARM_SPEEDUP_FLOOR}x"
         ));
     }
-    let Some(ratio) = parse_field(json, "dispatch_ratio") else {
-        return Err("no dispatch_ratio field".into());
-    };
-    if ratio > SERVE_DISPATCH_RATIO_CEILING {
-        return Err(format!(
-            "work-stealing dispatch ratio {ratio:.3} exceeds the ceiling \
-             {SERVE_DISPATCH_RATIO_CEILING} (slower than the cursor baseline)"
-        ));
-    }
     Ok(format!(
         "hit rate {hit_rate:.2} >= {SERVE_HIT_RATE_FLOOR}, warm/cold {warm:.0}x >= \
-         {SERVE_WARM_SPEEDUP_FLOOR:.0}x, dispatch ratio {ratio:.3} <= {SERVE_DISPATCH_RATIO_CEILING}"
+         {SERVE_WARM_SPEEDUP_FLOOR:.0}x"
     ))
 }
 
@@ -797,40 +785,33 @@ mod tests {
         assert_eq!(check_degradation("{\"placement\": []}"), Ok(None));
     }
 
-    fn serve_json(hit_rate: f64, warm: f64, ratio: f64) -> String {
+    fn serve_json(hit_rate: f64, warm: f64) -> String {
         format!(
             "{{\"requests\": 24, \"hit_rate\": {hit_rate}, \"warm_cold\": \
              [{{\"app\": \"GSE\", \"warm_speedup\": 3.0}}], \
-             \"max_warm_speedup\": {warm}, \"dispatch_ratio\": {ratio}}}"
+             \"max_warm_speedup\": {warm}}}"
         )
     }
 
     #[test]
     fn serve_check_accepts_a_healthy_report() {
-        assert!(check_serve(&serve_json(0.667, 120.0, 0.98)).is_ok());
+        assert!(check_serve(&serve_json(0.667, 120.0)).is_ok());
         // Exactly on the committed bounds is still healthy.
-        assert!(check_serve(&serve_json(0.5, 10.0, 1.05)).is_ok());
+        assert!(check_serve(&serve_json(0.5, 10.0)).is_ok());
     }
 
     #[test]
     fn serve_check_rejects_a_low_hit_rate() {
-        assert!(check_serve(&serve_json(0.3, 120.0, 0.98))
+        assert!(check_serve(&serve_json(0.3, 120.0))
             .unwrap_err()
             .contains("hit rate"));
     }
 
     #[test]
     fn serve_check_rejects_a_weak_warm_speedup() {
-        assert!(check_serve(&serve_json(0.667, 4.0, 0.98))
+        assert!(check_serve(&serve_json(0.667, 4.0))
             .unwrap_err()
             .contains("warm/cold"));
-    }
-
-    #[test]
-    fn serve_check_rejects_a_slow_stealing_dispatcher() {
-        assert!(check_serve(&serve_json(0.667, 120.0, 1.2))
-            .unwrap_err()
-            .contains("dispatch ratio"));
     }
 
     #[test]
@@ -838,7 +819,7 @@ mod tests {
         // The per-app rows carry a "warm_speedup" field; only the
         // "max_warm_speedup" aggregate may satisfy the floor.
         let json = "{\"hit_rate\": 0.6, \"warm_cold\": [{\"warm_speedup\": 500.0}], \
-                    \"max_warm_speedup\": 2.0, \"dispatch_ratio\": 1.0}";
+                    \"max_warm_speedup\": 2.0}";
         assert!(check_serve(json).unwrap_err().contains("warm/cold"));
     }
 
@@ -848,9 +829,6 @@ mod tests {
         assert!(check_serve("{\"hit_rate\": 0.6}")
             .unwrap_err()
             .contains("max_warm_speedup"));
-        assert!(check_serve("{\"hit_rate\": 0.6, \"max_warm_speedup\": 50}")
-            .unwrap_err()
-            .contains("dispatch_ratio"));
     }
 
     fn scale_json(points: &[(f64, f64, f64, f64)]) -> String {

@@ -19,15 +19,14 @@
 //! `cargo run --release -p scq-bench --bin <name>`.
 //!
 //! Binaries that sweep a (workload × policy) grid fan the points out
-//! across OS threads with [`parallel_map`]; every point is an
+//! across OS threads with [`parallel_map`], `scq-serve`'s atomic-cursor
+//! map: workers claim one point at a time, and every point is an
 //! independent scheduling run, so the sweeps scale to the machine.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 use std::collections::VecDeque;
-use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::Mutex;
 
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -98,28 +97,6 @@ pub fn run_policy(circuit: &Circuit, policy: Policy, code_distance: u32) -> Brai
         ..Default::default()
     };
     schedule(circuit, &dag, &layout, &config).expect("figure 6 workloads schedule cleanly")
-}
-
-/// [`run_policy`] without the clean-workload assumption: scheduling
-/// failures come back as values for harnesses that must not panic.
-///
-/// # Errors
-///
-/// Forwards the scheduler's [`ScheduleError`].
-pub fn run_policy_checked(
-    circuit: &Circuit,
-    policy: Policy,
-    code_distance: u32,
-) -> Result<BraidSchedule, ScheduleError> {
-    let dag = DependencyDag::from_circuit(circuit);
-    let graph = InteractionGraph::from_circuit(circuit);
-    let layout = place(&graph, policy.layout_strategy(), None);
-    let config = BraidConfig {
-        policy,
-        code_distance,
-        ..Default::default()
-    };
-    schedule(circuit, &dag, &layout, &config)
 }
 
 /// [`run_policy`] on a braid mesh with fabrication defects sampled at
@@ -445,71 +422,11 @@ pub fn congested_mesh(
     mesh
 }
 
-/// Maps `f` over `items` on a scoped thread pool, preserving input
-/// order in the result.
-///
-/// This is the fan-out primitive for the (workload × policy) sweep
-/// grids: each point is an independent scheduling run, so the sweep's
-/// wall-clock collapses to roughly its longest single point. Dispatch
-/// runs on `scq-serve`'s work-stealing deque pool: each worker is
-/// seeded with a contiguous chunk of the grid (uncontended while the
-/// load stays balanced) and steals the back half of a victim's deque
-/// when its own runs dry, so long points (e.g. SHA-1 under policy 0)
-/// do not convoy short ones *and* balanced sweeps pay no shared-cursor
-/// traffic. The `dispatch/*` criterion microbenches A/B this against
-/// the retained [`parallel_map_cursor`] baseline, and `serve_throughput`
-/// guards the ratio in `BENCH_serve.json`.
-///
-/// # Panics
-///
-/// Propagates a panic from `f` (the pool joins all workers first).
-pub fn parallel_map<T: Sync, R: Send>(items: &[T], f: impl Fn(&T) -> R + Sync) -> Vec<R> {
-    scq_serve::steal_map(items, f)
-}
-
-/// The atomic-cursor dispatcher [`parallel_map`] replaced, retained as
-/// the A/B baseline: workers claim one item at a time from a shared
-/// cursor. Perfectly balanced but pays one contended RMW per item and
-/// cannot batch; the work-stealing pool must never be measurably slower
-/// than this (`dispatch_ratio` in `BENCH_serve.json`).
-///
-/// # Panics
-///
-/// Propagates a panic from `f` (the scope joins all workers first).
-pub fn parallel_map_cursor<T: Sync, R: Send>(items: &[T], f: impl Fn(&T) -> R + Sync) -> Vec<R> {
-    if items.is_empty() {
-        return Vec::new();
-    }
-    let workers = std::thread::available_parallelism()
-        .map(std::num::NonZeroUsize::get)
-        .unwrap_or(1)
-        .min(items.len());
-    if workers <= 1 {
-        return items.iter().map(f).collect();
-    }
-    let cursor = AtomicUsize::new(0);
-    let slots: Vec<Mutex<Option<R>>> = (0..items.len()).map(|_| Mutex::new(None)).collect();
-    std::thread::scope(|scope| {
-        for _ in 0..workers {
-            scope.spawn(|| loop {
-                let i = cursor.fetch_add(1, Ordering::Relaxed);
-                if i >= items.len() {
-                    break;
-                }
-                let result = f(&items[i]);
-                *slots[i].lock().expect("result slot poisoned") = Some(result);
-            });
-        }
-    });
-    slots
-        .into_iter()
-        .map(|slot| {
-            slot.into_inner()
-                .expect("result slot poisoned")
-                .expect("every item was claimed")
-        })
-        .collect()
-}
+/// The order-preserving fan-out primitive for the (workload × policy)
+/// sweep grids: `scq-serve`'s atomic-cursor map. Each point is an
+/// independent scheduling run, so a sweep's wall-clock collapses to
+/// roughly its longest single point.
+pub use scq_serve::parallel_map;
 
 #[cfg(test)]
 mod tests {
@@ -636,31 +553,6 @@ mod tests {
         assert_eq!(result, 1);
         assert_eq!(calls, 3);
         assert!(secs >= 0.0);
-    }
-
-    #[test]
-    fn parallel_map_preserves_order() {
-        let items: Vec<u64> = (0..97).collect();
-        let out = parallel_map(&items, |&x| x * x);
-        assert_eq!(out, items.iter().map(|&x| x * x).collect::<Vec<_>>());
-        assert!(parallel_map(&[] as &[u64], |&x| x).is_empty());
-    }
-
-    #[test]
-    #[should_panic(expected = "deliberate")]
-    fn parallel_map_propagates_panics() {
-        let items: Vec<u32> = (0..8).collect();
-        let _ = parallel_map(&items, |&x| {
-            assert!(x != 5, "deliberate");
-            x
-        });
-    }
-
-    #[test]
-    fn cursor_and_steal_dispatch_agree() {
-        let items: Vec<u64> = (0..257).collect();
-        let f = |&x: &u64| x.wrapping_mul(2654435761).rotate_left(11);
-        assert_eq!(parallel_map(&items, f), parallel_map_cursor(&items, f));
     }
 
     #[test]

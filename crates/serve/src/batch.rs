@@ -1,7 +1,7 @@
 //! The batch driver: normalized requests in, cached responses out.
 //!
 //! [`BatchRunner`] owns one [`ScheduleCache`] and fans request batches
-//! out on the work-stealing pool ([`steal_map`]). Every compute path —
+//! out with the atomic-cursor [`parallel_map`]. Every compute path —
 //! braid or planar, clean or defected, certified or not — funnels
 //! through [`ScheduleCache::get_or_compute`], so identical requests
 //! anywhere in a batch (or across batches on the same runner) schedule
@@ -36,7 +36,7 @@ use scq_verify::{certify_braid_trace, certify_planar_schedule, Finding, Severity
 
 use crate::cache::{CacheStats, Provenance, ScheduleCache};
 use crate::error::ServeError;
-use crate::pool::steal_map;
+use crate::pool::parallel_map;
 use crate::request::{BackendKind, ScheduleRequest};
 
 /// The memoized result of scheduling one normalized request.
@@ -104,7 +104,7 @@ impl ScheduleResponse {
 }
 
 /// A batch scheduling service: one content-addressed cache plus the
-/// work-stealing pool.
+/// order-preserving [`parallel_map`].
 ///
 /// ```
 /// use scq_serve::{BatchRunner, ScheduleRequest};
@@ -137,13 +137,13 @@ impl BatchRunner {
         }
     }
 
-    /// Serves a whole batch on the work-stealing pool, preserving
+    /// Serves a whole batch with [`parallel_map`], preserving
     /// request order in the responses. Duplicate requests — common in
     /// sweep workloads — are deduplicated by the cache whether they run
     /// sequentially (hit) or concurrently (single-flight).
     pub fn run(&self, requests: &[ScheduleRequest]) -> Vec<ScheduleResponse> {
         let indexed: Vec<(usize, &ScheduleRequest)> = requests.iter().enumerate().collect();
-        steal_map(&indexed, |&(i, req)| self.serve(i, req))
+        parallel_map(&indexed, |&(i, req)| self.serve(i, req))
     }
 
     /// Serves one request against the shared cache.

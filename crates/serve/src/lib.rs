@@ -15,10 +15,10 @@
 //!    memoizes schedule outcomes under single-flight discipline — N
 //!    concurrent requesters of one key cost one compute — with LRU
 //!    eviction and full hit/miss/dedup/eviction counters.
-//! 3. **Work-stealing pool** ([`pool`]): [`steal_map`] fans batches out
-//!    over per-worker deques with back-half stealing, so heterogeneous
-//!    request costs don't convoy. `scq_bench::parallel_map` dispatches
-//!    on this pool.
+//! 3. **Parallel map** ([`pool`]): [`parallel_map`] fans batches out
+//!    over scoped threads that claim one request at a time from a
+//!    shared atomic cursor, so heterogeneous request costs don't
+//!    convoy. `scq_bench::parallel_map` is this same function.
 //!
 //! [`BatchRunner`] composes the three: requests in, order-preserved
 //! [`ScheduleResponse`]s (with cache provenance and timing) out. The
@@ -34,7 +34,7 @@ pub mod request;
 pub use batch::{BatchRunner, ScheduleOutcome, ScheduleResponse};
 pub use cache::{CacheStats, Provenance, ScheduleCache};
 pub use error::ServeError;
-pub use pool::{steal_map, steal_map_stats, steal_map_workers, StealStats};
+pub use pool::parallel_map;
 pub use request::{
     load_request_file, parse_request_line, parse_request_text, BackendKind, DefectSpec,
     NormalizedRequest, RequestSource, ScheduleRequest, ENGINE_VERSION,

@@ -83,9 +83,12 @@ impl PlanarConfig {
 
 /// Cycles for an EPR half to cross one distance-`d` planar tile: `2d-1`
 /// qubit positions, each crossed by one SWAP (3 CNOTs = 3 physical gate
-/// steps), at 8 physical steps per EC cycle.
+/// steps), at 8 physical steps per EC cycle. Computed in `u64`, so
+/// `2d-1` cannot overflow for any `u32` distance.
 pub fn hop_cycles_for_distance(code_distance: u32) -> u64 {
-    (3 * u64::from(2 * code_distance - 1)).div_ceil(8).max(1)
+    (3 * (2 * u64::from(code_distance)).saturating_sub(1))
+        .div_ceil(8)
+        .max(1)
 }
 
 /// The planar machine floorplan for a circuit: a near-square block of
@@ -526,6 +529,20 @@ mod tests {
         assert_eq!(hop_cycles_for_distance(9), 7); // ceil(3*17/8)
         assert_eq!(hop_cycles_for_distance(25), 19); // ceil(3*49/8)
         assert!(hop_cycles_for_distance(25) > hop_cycles_for_distance(5));
+    }
+
+    #[test]
+    fn hop_cycles_do_not_overflow_at_huge_distances() {
+        // 2d-1 no longer fits a u32 from d = 2^31 + 1 on.
+        assert_eq!(hop_cycles_for_distance((1 << 31) + 1), 1_610_612_737);
+        assert_eq!(hop_cycles_for_distance(u32::MAX), 3_221_225_471);
+        let c = mixed_circuit(8, 2);
+        let config = PlanarConfig {
+            code_distance: (1 << 31) + 1,
+            ..PlanarConfig::default()
+        };
+        let s = run(&c, &config);
+        assert!(s.cycles >= hop_cycles_for_distance(config.code_distance));
     }
 
     #[test]

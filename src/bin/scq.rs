@@ -11,9 +11,9 @@
 //! ```
 //!
 //! `batch` drives the `scq-serve` layer: one request per line, served
-//! through the content-addressed schedule cache on the work-stealing
-//! pool, with per-request cache provenance (hit / miss / dedup) in the
-//! output. Request lines are whitespace-separated `key=value` tokens —
+//! through the content-addressed schedule cache on the atomic-cursor
+//! `parallel_map`, with per-request cache provenance (hit / miss /
+//! dedup) in the output. Request lines are whitespace-separated `key=value` tokens —
 //! `app=<gse|sq|sha1|im|im-semi>` or `qasm=<file>`, plus optional
 //! `scale=`, `backend=<braid|planar>`, `policy=`, `distance=`,
 //! `defect-rate=`/`defect-seed=` or `defect-map=`, and the bare

@@ -23,7 +23,7 @@
 //! | [`explore`] | `scq-explore` | Crossover sweeps (Figures 7-9) |
 //! | [`core`] | `scq-core` | The end-to-end toolflow |
 //! | [`verify`] | `scq-verify` | Independent schedule certifier |
-//! | [`serve`] | `scq-serve` | Batch scheduling service: cached, work-stealing |
+//! | [`serve`] | `scq-serve` | Batch scheduling service: cached, parallel |
 //!
 //! ## Quickstart
 //!
